@@ -26,28 +26,23 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ddrs_bench::uniform_points;
 use ddrs_cgm::Machine;
 use ddrs_client::{RangeStore, Request};
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs_service::{Service, ServiceConfig};
+use ddrs_rangetree::{Point, Rect, Sum};
+use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService};
 use ddrs_workloads::{QueryDistribution, QueryWorkload};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 64;
 
-fn start_service() -> (Service<Sum, 2>, Vec<Vec<Rect<2>>>) {
-    let machine = Machine::new(8).unwrap();
+fn start_service() -> (ShardedService<Sum, 2>, Vec<Vec<Rect<2>>>) {
     let pts: Vec<Point<2>> = uniform_points(51, 1 << 12);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-    tree.insert_batch(&machine, &pts).unwrap();
-    let service = Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
-            max_batch: 512,
-            max_delay: Duration::from_micros(200),
-            ..ServiceConfig::default()
-        },
-    );
+    let cfg = ShardedConfig {
+        max_batch: 512,
+        max_delay: Duration::from_micros(200),
+        ..ShardedConfig::default()
+    };
+    let machines = vec![Machine::new(8).unwrap()];
+    let service =
+        ShardedService::start(machines, 1 << 9, &pts, Sum, PartitionPolicy::Hash, cfg).unwrap();
     let qw = QueryWorkload::from_points(&pts, 77);
     let all =
         qw.queries(QueryDistribution::Selectivity { fraction: 0.01 }, CLIENTS * QUERIES_PER_CLIENT);

@@ -21,18 +21,11 @@ use ddrs_bench::uniform_points;
 use ddrs_cgm::Machine;
 use ddrs_client::RangeStore;
 use ddrs_rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs_service::{Service, ServiceConfig};
+use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService};
 use ddrs_workloads::{QueryDistribution, QueryWorkload};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 64;
-
-fn setup_store(machine: &Machine) -> (Vec<Point<2>>, DynamicDistRangeTree<2>) {
-    let pts: Vec<Point<2>> = uniform_points(51, 1 << 12);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-    tree.insert_batch(machine, &pts).unwrap();
-    (pts, tree)
-}
 
 fn client_queries(pts: &[Point<2>]) -> Vec<Vec<Rect<2>>> {
     let qw = QueryWorkload::from_points(pts, 77);
@@ -44,24 +37,23 @@ fn client_queries(pts: &[Point<2>]) -> Vec<Vec<Rect<2>>> {
 fn bench_service_vs_naive(c: &mut Criterion) {
     let p = 8;
 
-    // The coalescing side: one long-lived service, clients submit waves.
-    let machine = Machine::new(p).unwrap();
-    let (pts, tree) = setup_store(&machine);
+    // The coalescing side: one long-lived one-shard service, clients
+    // submit waves.
+    let pts: Vec<Point<2>> = uniform_points(51, 1 << 12);
     let per_client = client_queries(&pts);
-    let service = Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
-            max_batch: 128,
-            max_delay: Duration::from_micros(200),
-            ..ServiceConfig::default()
-        },
-    );
+    let cfg = ShardedConfig {
+        max_batch: 128,
+        max_delay: Duration::from_micros(200),
+        ..ShardedConfig::default()
+    };
+    let machines = vec![Machine::new(p).unwrap()];
+    let service =
+        ShardedService::start(machines, 1 << 9, &pts, Sum, PartitionPolicy::Hash, cfg).unwrap();
 
     // The naive side: same store, every query its own machine run.
     let naive_machine = Machine::new(p).unwrap();
-    let (_, naive_tree) = setup_store(&naive_machine);
+    let mut naive_tree = DynamicDistRangeTree::<2>::new(1 << 9);
+    naive_tree.insert_batch(&naive_machine, &pts).unwrap();
 
     let mut g = c.benchmark_group("service");
     g.sample_size(10);

@@ -25,7 +25,7 @@ use ddrs_rangetree::dist::search::{balance_visits, hat_stage, tree_for, QueryRec
 use ddrs_rangetree::{
     heap, label, DistRangeTree, DynamicDistRangeTree, Point, RankSpace, SeqRangeTree, Sum,
 };
-use ddrs_service::{Service, ServiceConfig};
+use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService, ShardedStats};
 use ddrs_workloads::{ArrivalProcess, ArrivalTrace, QueryDistribution, QueryMode, QueryWorkload};
 
 /// The per-stage latency attribution as a JSON object (mean µs per
@@ -640,6 +640,24 @@ fn e1() {
     );
 }
 
+/// A single store of `pts` on a `p`-processor machine, served as one
+/// shard — the front-end `e2`, `e4` and `e6` load.
+fn one_shard_service(
+    p: usize,
+    pts: &[Point<2>],
+    max_batch: usize,
+    max_delay_us: u64,
+) -> ShardedService<Sum, 2> {
+    let cfg = ShardedConfig {
+        max_batch,
+        max_delay: std::time::Duration::from_micros(max_delay_us),
+        ..ShardedConfig::default()
+    };
+    let machines = vec![Machine::new(p).expect("power-of-two machine size")];
+    ShardedService::start(machines, 1 << 9, pts, Sum, PartitionPolicy::Hash, cfg)
+        .expect("ids are unique")
+}
+
 /// Service: the serving layer under open-loop load — throughput and
 /// latency vs offered load, coalesced dispatch vs one machine run per
 /// query. Emits `BENCH_service.json` to start the perf trajectory.
@@ -652,16 +670,12 @@ fn e2() {
     let pts: Vec<Point<2>> = uniform_points(61, 1 << 13);
     let qw = QueryWorkload::from_points(&pts, 67);
     let queries = qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, n_requests);
-    let build_store = |machine: &Machine| {
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(machine, &pts).unwrap();
-        tree
-    };
 
     // Baseline: every query pays its own machine run, 8 closed-loop
     // client threads sharing the machine.
     let machine = Machine::new(p).unwrap();
-    let tree = build_store(&machine);
+    let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
+    tree.insert_batch(&machine, &pts).unwrap();
     let chunk = n_requests.div_ceil(clients);
     let naive_lat: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
     let t0 = Instant::now();
@@ -681,10 +695,10 @@ fn e2() {
     });
     let naive_wall = t0.elapsed().as_secs_f64();
     let naive_rps = n_requests as f64 / naive_wall;
-    // Same estimator as ServiceStats::latency_us (base-2 histogram
+    // Same estimator as ShardedStats::latency_us (base-2 histogram
     // bucket upper bounds), so the two sides of the table and the JSON
     // are commensurable.
-    let mut naive_hist = ddrs_service::Histogram::default();
+    let mut naive_hist = ddrs_trace::Histogram::default();
     for l in naive_lat.into_inner().unwrap() {
         naive_hist.record(l);
     }
@@ -697,18 +711,7 @@ fn e2() {
     let mut json_rows = Vec::new();
     let mut best_rps = 0.0f64;
     for &rate in &[10_000.0f64, 40_000.0, 160_000.0] {
-        let machine = Machine::new(p).unwrap();
-        let tree = build_store(&machine);
-        let service = Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 128,
-                max_delay: std::time::Duration::from_micros(300),
-                ..ServiceConfig::default()
-            },
-        );
+        let service = one_shard_service(p, &pts, 128, 300);
         let trace =
             ArrivalTrace::generate(13, ArrivalProcess::Poisson { rate_hz: rate }, n_requests);
         let schedule: Vec<(std::time::Duration, ddrs_rangetree::Rect<2>)> =
@@ -823,16 +826,16 @@ fn e3() {
     let queries =
         qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_block);
 
-    let run_sweep = |shards: usize| -> (f64, ddrs_shard::ShardedStats) {
+    let run_sweep = |shards: usize| -> (f64, ShardedStats) {
         let p = budget / shards;
         let machines: Vec<Machine> = (0..shards).map(|_| Machine::new(p).unwrap()).collect();
-        let service = ddrs_shard::ShardedService::start(
+        let service = ShardedService::start(
             machines,
             1 << 9,
             &pts,
             Sum,
-            ddrs_shard::PartitionPolicy::range_from_sample(shards, &pts),
-            ddrs_shard::ShardedConfig {
+            PartitionPolicy::range_from_sample(shards, &pts),
+            ShardedConfig {
                 max_batch: 128,
                 max_delay: std::time::Duration::from_micros(300),
                 queue_capacity: 1 << 16,
@@ -903,13 +906,13 @@ fn e3() {
     // dispatches — the pause is what a client-visible request would
     // wait behind the migration).
     let machines: Vec<Machine> = (0..2).map(|_| Machine::new(budget / 2).unwrap()).collect();
-    let service = ddrs_shard::ShardedService::start(
+    let service = ShardedService::start(
         machines,
         1 << 9,
         &pts, // bounds put every point on shard 0
         Sum,
-        ddrs_shard::PartitionPolicy::Range { bounds: vec![i64::MAX] },
-        ddrs_shard::ShardedConfig::default(),
+        PartitionPolicy::Range { bounds: vec![i64::MAX] },
+        ShardedConfig::default(),
     )
     .expect("building the rebalance store");
     let t0 = Instant::now();
@@ -1019,27 +1022,11 @@ fn e4() {
         qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_client);
     let n_requests = clients * per_client * blocks;
 
-    let start_service = || {
-        let machine = Machine::new(p).unwrap();
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(&machine, &pts).unwrap();
-        Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 512,
-                max_delay: std::time::Duration::from_micros(200),
-                ..ServiceConfig::default()
-            },
-        )
-    };
-
     // Each mode answers the same `n_requests` counting queries with 8
     // closed-loop client threads; what varies is how a client hands a
     // block of 64 queries to the service.
-    let run = |mode: &str| -> (f64, ddrs_service::ServiceStats) {
-        let service = start_service();
+    let run = |mode: &str| -> (f64, ShardedStats) {
+        let service = one_shard_service(p, &pts, 512, 200);
         let t0 = Instant::now();
         for _ in 0..blocks {
             std::thread::scope(|s| {
@@ -1153,13 +1140,13 @@ fn e5() {
     let all_pts: Vec<Point<2>> = uniform_points(91, n_initial + n_blocks * block_size);
     let initial = &all_pts[..n_initial];
     let machines: Vec<Machine> = (0..shards).map(|_| Machine::new(p).unwrap()).collect();
-    let service = ddrs_shard::ShardedService::start(
+    let service = ShardedService::start(
         machines,
         1 << 9,
         initial,
         Sum,
-        ddrs_shard::PartitionPolicy::range_from_sample(shards, initial),
-        ddrs_shard::ShardedConfig {
+        PartitionPolicy::range_from_sample(shards, initial),
+        ShardedConfig {
             max_delay: std::time::Duration::from_micros(200),
             queue_capacity: 1 << 14,
             ..Default::default()
@@ -1202,7 +1189,7 @@ fn e5() {
                 committed_blocks += 1;
                 events.push((c.seq, Ev::Insert(lo..lo + block_size)));
             }
-            Err(ddrs_service::ServiceError::Machine(msg)) => {
+            Err(ddrs_client::ServiceError::Machine(msg)) => {
                 assert!(
                     msg.contains("write epoch aborted") || msg.contains("poisoned"),
                     "unexpected load failure: {msg}"
@@ -1385,21 +1372,7 @@ fn e6() {
         qw.queries(QueryDistribution::Selectivity { fraction: 0.005 }, clients * per_client);
     let n_queries = clients * per_client * blocks;
 
-    let start_service = || {
-        let machine = Machine::new(p).unwrap();
-        let mut tree = DynamicDistRangeTree::<2>::new(1 << 9);
-        tree.insert_batch(&machine, &pts).unwrap();
-        Arc::new(Service::start(
-            machine,
-            tree,
-            Sum,
-            ServiceConfig {
-                max_batch: 512,
-                max_delay: std::time::Duration::from_micros(200),
-                ..ServiceConfig::default()
-            },
-        ))
-    };
+    let start_service = || Arc::new(one_shard_service(p, &pts, 512, 200));
 
     // Closed-loop driver: `clients` threads, each submitting one
     // multi-op request of `per_client` counts per block and waiting for

@@ -326,8 +326,8 @@ impl Machine {
 
 /// Render a panic payload: the conventional `String` / `&str` payloads
 /// verbatim, anything else as a placeholder. Public so the layers that
-/// contain panics around machine use (the service scheduler, the shard
-/// workers) report them with one shared rule.
+/// contain panics around machine use (the shard workers) report them
+/// with one shared rule.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()

@@ -9,9 +9,10 @@
 //! protocols rely on, in three complementary parts:
 //!
 //! 1. **A static lint pass** ([`lint`]) — a dependency-free token-wise
-//!    analysis of the scheduler-stack sources (`sched`, `service`,
-//!    `shard`, `client`) enforcing four domain lints with `file:line`
-//!    diagnostics and `// ddrs-check: allow(<lint>)` escape hatches.
+//!    analysis of the scheduler-stack sources (`sched`, `shard`,
+//!    `client`, `trace`, `wal`, `net`) enforcing four domain lints
+//!    with `file:line` diagnostics and `// ddrs-check: allow(<lint>)`
+//!    escape hatches.
 //!    Run it as `cargo run -p ddrs-check`. Being syntactic, it sees
 //!    nesting *within* a function body; cross-function nesting is the
 //!    runtime detector's job.

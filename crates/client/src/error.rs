@@ -3,8 +3,8 @@
 //! Every [`RangeStore`](crate::RangeStore) backend speaks these two
 //! types: [`SubmitError`] for requests turned away at the door,
 //! [`ServiceError`] for accepted requests that did not produce a value.
-//! They used to live in `ddrs-service`; they moved here so that the
-//! contract — not one particular backend — owns its failure vocabulary.
+//! The contract — not one particular backend — owns its failure
+//! vocabulary.
 
 use ddrs_rangetree::BuildError;
 

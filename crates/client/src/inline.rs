@@ -4,7 +4,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use ddrs_cgm::Machine;
 use ddrs_engine::QueryBatch;
-use ddrs_rangetree::{DynamicDistRangeTree, Point, Semigroup, PAD_ID};
+use ddrs_rangetree::{DynamicDistRangeTree, Semigroup};
 
 use crate::request::{PlannedOp, Request, Response};
 use crate::store::RangeStore;
@@ -95,24 +95,6 @@ impl<S: Semigroup, const D: usize> InlineStore<S, D> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Sequential insert validation, identical to the serving layers':
-    /// reserved id, id live in the store, or id repeated in the batch.
-    fn validate_insert(
-        tree: &DynamicDistRangeTree<D>,
-        pts: &[Point<D>],
-    ) -> Result<(), ServiceError> {
-        let mut seen = std::collections::HashSet::with_capacity(pts.len());
-        for pt in pts {
-            if pt.id == PAD_ID {
-                return Err(ServiceError::Rejected(ddrs_rangetree::BuildError::ReservedId));
-            }
-            if tree.contains_id(pt.id) || !seen.insert(pt.id) {
-                return Err(ServiceError::Rejected(ddrs_rangetree::BuildError::DuplicateId(pt.id)));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<S: Semigroup, const D: usize> RangeStore<S, D> for InlineStore<S, D> {
@@ -130,18 +112,17 @@ impl<S: Semigroup, const D: usize> RangeStore<S, D> for InlineStore<S, D> {
         };
         for op in planned.ops {
             match op {
-                PlannedOp::Insert(pts, r) => match Self::validate_insert(&st.tree, &pts) {
+                // `insert_batch` validates the whole batch (reserved id,
+                // id live in the store, id repeated in the batch) before
+                // it mutates anything, so a rejection leaves the store
+                // untouched.
+                PlannedOp::Insert(pts, r) => match st.tree.insert_batch(&self.machine, &pts) {
                     Ok(()) => {
-                        if !pts.is_empty() {
-                            st.tree
-                                .insert_batch(&self.machine, &pts)
-                                .expect("pre-validated insert cannot be rejected");
-                        }
                         let seq = st.next_seq;
                         st.next_seq += 1;
                         r.resolve(Ok(Commit { value: (), seq }));
                     }
-                    Err(e) => r.resolve(Err(e)),
+                    Err(e) => r.resolve(Err(ServiceError::Rejected(e))),
                 },
                 PlannedOp::Delete(ids, r) => {
                     st.tree

@@ -1,11 +1,11 @@
 //! # ddrs-client — one client API over every front-end
 //!
-//! The repo grew three ways to talk to the paper's distributed range
-//! tree — direct `QueryBatch` execution, the coalescing `Service`, and
-//! the multi-group `ShardedService` — and with them three copy-pasted,
-//! subtly divergent client surfaces. This crate is the replacement: the
-//! **contract** every backend implements, so workloads, differential
-//! tests and benches are written once and run against any of them.
+//! There are several ways to talk to the paper's distributed range
+//! tree — direct `QueryBatch` execution, the coalescing
+//! `ShardedService` (one shard or many) and the `RemoteStore` network
+//! client. This crate is the **contract** every backend implements, so
+//! workloads, differential tests and benches are written once and run
+//! against any of them.
 //!
 //! * [`RangeStore`] — the object-safe trait with the full read/write
 //!   surface. The single-op conveniences (`count`, `aggregate`,
@@ -34,7 +34,6 @@
 //! use ddrs_cgm::Machine;
 //! use ddrs_client::{InlineStore, RangeStore, Request};
 //! use ddrs_rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-//! use ddrs_service::{Service, ServiceConfig};
 //! use ddrs_shard::{PartitionPolicy, ShardedConfig, ShardedService};
 //!
 //! // One workload, written once against the trait.
@@ -57,11 +56,11 @@
 //! tree.insert_batch(&machine, &pts).unwrap();
 //! let inline = InlineStore::new(machine, tree, Sum);
 //!
-//! // Backend 2: the coalescing service.
-//! let machine = Machine::new(2).unwrap();
-//! let mut tree = DynamicDistRangeTree::<2>::new(8);
-//! tree.insert_batch(&machine, &pts).unwrap();
-//! let service = Service::start(machine, tree, Sum, ServiceConfig::default());
+//! // Backend 2: the coalescing service over one store (one shard).
+//! let machines = vec![Machine::new(2).unwrap()];
+//! let service = ShardedService::start(
+//!     machines, 8, &pts, Sum, PartitionPolicy::Hash, ShardedConfig::default(),
+//! ).unwrap();
 //!
 //! // Backend 3: the sharded scatter-gather router.
 //! let machines = vec![Machine::new(1).unwrap(), Machine::new(1).unwrap()];
@@ -75,8 +74,8 @@
 //! ```
 //!
 //! (The doctest above is the README's "Client API" example; CI runs it
-//! as this crate's doc-test job. The `dev-dependencies` on the serving
-//! crates exist only for it — the library itself depends on nothing
+//! as this crate's doc-test job. The `dev-dependency` on the serving
+//! crate exists only for it — the library itself depends on nothing
 //! above the engine.)
 
 #![warn(missing_docs)]

@@ -10,8 +10,8 @@ use crate::SubmitError;
 
 /// The one client API over every serving backend of the distributed
 /// range store: the zero-thread [`InlineStore`](crate::InlineStore),
-/// `ddrs-service`'s coalescing `Service`, and `ddrs-shard`'s
-/// `ShardedService` all implement it, so workloads, differential tests
+/// `ddrs-shard`'s coalescing `ShardedService` and `ddrs-net`'s
+/// `RemoteStore` all implement it, so workloads, differential tests
 /// and benches are written once against `&dyn RangeStore` (the trait is
 /// object-safe) and run against any of them.
 ///

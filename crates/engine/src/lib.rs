@@ -148,8 +148,8 @@ impl<S: Semigroup, const D: usize> QueryBatch<S, D> {
     /// through [`Machine::try_run`], so a panicked simulated processor
     /// surfaces as [`CgmError::ProcessorPanicked`] and the machine stays
     /// usable. This is the entry point long-lived callers (the
-    /// `ddrs-service` scheduler) use so one poisoned batch cannot take
-    /// the dispatcher down with it.
+    /// `ddrs-shard` workers) use so one poisoned batch cannot take the
+    /// dispatcher down with it.
     pub fn try_execute(
         &self,
         machine: &Machine,

@@ -3,9 +3,11 @@
 //! # Frame layout
 //!
 //! Every message is one length-prefixed, checksummed frame — the same
-//! shape as `ddrs-wal`'s epoch records, because the same idiom solves
-//! the same problem (decode untrusted bytes without ever reading past a
-//! buffer or trusting a length):
+//! shape as `ddrs-wal`'s epoch records, built from the same primitives
+//! (`ddrs_wal::frame`: CRC-32, little-endian writers, the bounds-checked
+//! [`Reader`]), because the same idiom solves the same problem (decode
+//! untrusted bytes without ever reading past a buffer or trusting a
+//! length):
 //!
 //! ```text
 //! offset  size  field
@@ -66,12 +68,11 @@ use std::time::Duration;
 
 use ddrs_client::{Commit, Consistency, Outcome, Request, Response, ServiceError, WriteOp};
 use ddrs_rangetree::{BuildError, Point, Rect, Semigroup};
+use ddrs_wal::frame::{crc32, encode_frame, put_u32, put_u64};
+pub use ddrs_wal::frame::{Reader, FRAME_HEADER};
 
 /// Current protocol version byte.
 pub const PROTO_VERSION: u8 = 1;
-
-/// Bytes of frame header preceding every payload (length + checksum).
-pub const FRAME_HEADER: usize = 8;
 
 /// Upper bound on a sane payload length; a declared length above this
 /// is treated as corruption rather than an allocation request.
@@ -81,20 +82,6 @@ const MSG_HELLO: u8 = 0;
 const MSG_REFUSED: u8 = 1;
 const MSG_REQUEST: u8 = 2;
 const MSG_RESPONSE: u8 = 3;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected, init/xorout `!0`),
-/// implemented bitwise to stay dependency-free. Corruption detection
-/// only; not cryptographic.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c: u32 = !0;
-    for &b in bytes {
-        c ^= u32::from(b);
-        for _ in 0..8 {
-            c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
-        }
-    }
-    !c
-}
 
 /// Why the server turned a connection (or its byte stream) away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,73 +147,10 @@ impl WireValue for u32 {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Cursor over a payload with bounds-checked little-endian reads.
-/// Public so [`WireValue`] implementations outside this crate can
-/// decode their value bytes; every accessor returns `None` instead of
-/// reading past the buffer.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Take the next `n` bytes, or `None` if fewer remain.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    /// Next byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    /// Next little-endian u32.
-    pub fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Next little-endian u64.
-    pub fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    /// Next little-endian i64.
-    pub fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-}
-
 /// Wrap `payload` in a frame (length prefix + checksum).
 fn frame(payload: Vec<u8>) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD as usize);
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    encode_frame(&payload)
 }
 
 fn header(tag: u8) -> Vec<u8> {
@@ -786,6 +710,17 @@ mod tests {
             panic!("expected a response message");
         };
         assert_eq!(outcome, Err(ServiceError::Consistency { required: 9, committed: 3 }));
+    }
+
+    #[test]
+    fn wire_frames_are_wal_frames() {
+        // One frame format for the log and the wire: [len][crc32][payload]
+        // with the standard IEEE CRC-32 (check value of "123456789").
+        let frame = encode_hello(2, 4096);
+        let payload = &frame[FRAME_HEADER..];
+        assert_eq!(frame, ddrs_wal::frame::encode_frame(payload));
+        assert_eq!(frame[4..FRAME_HEADER], crc32(payload).to_le_bytes());
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct NetConfig {
     /// The queue capacity advertised in the Hello frame. The
     /// [`RangeStore`] trait has no capacity accessor, so the config
     /// carries it; set it to the served store's admission bound (the
-    /// default matches `ServiceConfig`'s default) and the remote client
+    /// default matches `ShardedConfig`'s default) and the remote client
     /// will reproduce the store's local admission behavior.
     pub queue_capacity: usize,
 }

@@ -1,16 +1,13 @@
 //! # ddrs-sched — the shared group-commit scheduler core
 //!
-//! Both serving front-ends — the single-store `ddrs-service` scheduler
-//! and the multi-group `ddrs-shard` router — coalesce client requests
-//! the same way: a bounded FIFO of pending ops, admission control,
+//! The serving front-end (the `ddrs-shard` router, which also serves a
+//! single store as a one-shard group) coalesces client requests through
+//! this core: a bounded FIFO of pending ops, admission control,
 //! `max_batch`/`max_delay` window firing, deadline expiry in the queue,
 //! a carve that pops the dispatchable prefix, and an `AtLeast`
-//! consistency gate judged at dispatch time. Those layers used to be
-//! two diverged copies; this crate is the single definition both
-//! front-ends instantiate. The front-ends keep what genuinely differs —
-//! how a carved window is *executed* (one fused batch vs per-shard
-//! scatter-gather) — and delegate everything about *when* and *what* to
-//! dispatch to [`SchedCore`].
+//! consistency gate judged at dispatch time. The front-end keeps how a
+//! carved window is *executed* (per-shard scatter-gather) and delegates
+//! everything about *when* and *what* to dispatch to [`SchedCore`].
 //!
 //! ## The carve invariants
 //!
@@ -46,8 +43,8 @@ use ddrs_check::{TrackedCondvar, TrackedMutex};
 
 pub use ddrs_client::SubmitError;
 
-/// Tuning knobs of the scheduler core. Front-ends build this from their
-/// public config types.
+/// Tuning knobs of the scheduler core. The front-end builds this from
+/// its public config type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Fire a window as soon as this many ops are pending. Must be ≥ 1.
@@ -64,8 +61,8 @@ pub struct SchedConfig {
 /// One op as it sits in the pending queue: the front-end's op payload
 /// plus the queueing metadata the core schedules by.
 pub struct Pending<O> {
-    /// The front-end's op (the service queues `PlannedOp` directly; the
-    /// shard router wraps it to add its split command).
+    /// The front-end's op (the shard router wraps the client contract's
+    /// `PlannedOp` to add its split and recover commands).
     pub op: O,
     /// When the op was admitted (latency accounting).
     pub submitted: Instant,
@@ -85,7 +82,6 @@ enum Mode {
     Running,
     Draining,
     Rejecting,
-    Poisoned,
 }
 
 /// How to stop: serve what is already queued, or reject it.
@@ -109,18 +105,11 @@ pub enum Window<O> {
         /// Requests that expired while queued.
         expired: Vec<Pending<O>>,
     },
-    /// The caller's `wake_at` instant passed before any dispatch
-    /// condition was met — run periodic work (the shard router flushes
-    /// its due read stages) and call again.
-    Idle,
     /// Stop serving. `rejected` holds whatever was still queued (empty
-    /// on a drained exit) — fail them with `ShuttingDown`. `poisoned`
-    /// is true when the stop was a [`SchedCore::poison`].
+    /// on a drained exit) — fail them with `ShuttingDown`.
     Shutdown {
         /// Ops still queued at stop time.
         rejected: Vec<Pending<O>>,
-        /// True when a failed epoch poisoned the front-end.
-        poisoned: bool,
     },
 }
 
@@ -160,11 +149,6 @@ impl<O> SchedCore<O> {
             ),
             arrived: TrackedCondvar::new(),
         }
-    }
-
-    /// The configuration this core was built with.
-    pub fn cfg(&self) -> &SchedConfig {
-        &self.cfg
     }
 
     /// Current queue depth (for telemetry snapshots).
@@ -222,7 +206,7 @@ impl<O> SchedCore<O> {
     }
 
     /// Ask the core to stop. Idempotent: only a `Running` core changes
-    /// mode (a poison is never downgraded).
+    /// mode.
     pub fn begin_stop(&self, mode: StopMode) {
         let mut q = self.queue.lock();
         if q.mode == Mode::Running {
@@ -234,62 +218,43 @@ impl<O> SchedCore<O> {
         self.arrived.notify_all();
     }
 
-    /// Mark the front-end poisoned (an epoch failed mid-apply and the
-    /// store may be inconsistent): pending and future work is rejected,
-    /// and the eventual [`Window::Shutdown`] reports `poisoned: true`.
-    pub fn poison(&self) {
-        self.queue.lock().mode = Mode::Poisoned;
-        self.arrived.notify_all();
-    }
-
     /// Block until there is something to do and say what: a carved
-    /// window to dispatch, an [`Window::Idle`] tick because `wake_at`
-    /// passed (for front-ends with their own periodic work; pass `None`
-    /// to never idle-tick), or a shutdown.
+    /// window to dispatch, or a shutdown.
     ///
     /// `kind` classifies ops into windows (invariant 2 of the carve);
     /// `exclusive` marks kinds that dispatch alone (invariant 4).
     pub fn next_window<K: PartialEq>(
         &self,
-        wake_at: Option<Instant>,
         kind: impl Fn(&O) -> K,
         exclusive: impl Fn(&K) -> bool,
     ) -> Window<O> {
         let mut q = self.queue.lock();
         loop {
             match q.mode {
-                Mode::Rejecting | Mode::Poisoned => {
-                    let poisoned = q.mode == Mode::Poisoned;
+                Mode::Rejecting => {
                     let rejected: Vec<Pending<O>> = q.q.drain(..).collect();
-                    return Window::Shutdown { rejected, poisoned };
+                    return Window::Shutdown { rejected };
                 }
                 Mode::Draining => {
                     if q.q.is_empty() {
-                        return Window::Shutdown { rejected: Vec::new(), poisoned: false };
+                        return Window::Shutdown { rejected: Vec::new() };
                     }
                     break; // dispatch immediately, no delay window
                 }
                 Mode::Running => {
-                    let now = Instant::now();
-                    if wake_at.is_some_and(|w| now >= w) {
-                        return Window::Idle;
-                    }
                     let Some(front) = q.q.front() else {
-                        q = match wake_at {
-                            None => self.arrived.wait(q),
-                            Some(w) => self.arrived.wait_timeout(q, w - now).0,
-                        };
+                        q = self.arrived.wait(q);
                         continue;
                     };
                     if q.q.len() >= self.cfg.max_batch {
                         break;
                     }
+                    let now = Instant::now();
                     let dispatch_at = front.submitted + self.cfg.max_delay;
                     if now >= dispatch_at {
                         break;
                     }
-                    let until = wake_at.map_or(dispatch_at, |w| w.min(dispatch_at));
-                    q = self.arrived.wait_timeout(q, until - now).0;
+                    q = self.arrived.wait_timeout(q, dispatch_at - now).0;
                 }
             }
         }
@@ -448,45 +413,12 @@ mod tests {
             core.submit_ops(1, || unreachable!(), || (), || ()),
             Err(SubmitError::ShutDown)
         ));
-        match core.next_window(None, |op| *op, |_| false) {
-            Window::Shutdown { rejected, poisoned } => {
+        match core.next_window(|op| *op, |_| false) {
+            Window::Shutdown { rejected } => {
                 assert_eq!(rejected.len(), 2);
-                assert!(!poisoned);
             }
             _ => panic!("expected shutdown"),
         }
-    }
-
-    #[test]
-    fn poison_outranks_drain_and_reports() {
-        let core: SchedCore<u8> = SchedCore::new(SchedConfig {
-            max_batch: 4,
-            max_delay: Duration::from_millis(1),
-            queue_capacity: 8,
-        });
-        core.begin_stop(StopMode::Drain);
-        core.poison();
-        match core.next_window(None, |op| *op, |_| false) {
-            Window::Shutdown { poisoned, .. } => assert!(poisoned),
-            _ => panic!("expected shutdown"),
-        }
-    }
-
-    #[test]
-    fn idle_tick_fires_when_wake_passes() {
-        let core: SchedCore<u8> = SchedCore::new(SchedConfig {
-            max_batch: 64,
-            max_delay: Duration::from_secs(10),
-            queue_capacity: 8,
-        });
-        // Empty queue, wake already due: the core must tick, not block.
-        let w = core.next_window(Some(Instant::now()), |op| *op, |_| false);
-        assert!(matches!(w, Window::Idle));
-        // Queue below max_batch, delay far away, wake imminent: tick too.
-        core.submit_ops(1, || (vec![1], None, None), || (), || ()).unwrap();
-        let w =
-            core.next_window(Some(Instant::now() + Duration::from_millis(5)), |op| *op, |_| false);
-        assert!(matches!(w, Window::Idle));
     }
 
     #[test]
@@ -525,7 +457,7 @@ mod tests {
             queue_capacity: 8,
         });
         core.submit_ops(2, || (vec![1, 1], None, None), || (), || ()).unwrap();
-        match core.next_window(None, |op| *op, |_| false) {
+        match core.next_window(|op| *op, |_| false) {
             Window::Dispatch { batch, expired } => {
                 assert_eq!(batch.len(), 2);
                 assert!(expired.is_empty());
@@ -540,7 +472,7 @@ mod tests {
         });
         quick.submit_ops(1, || (vec![1], None, None), || (), || ()).unwrap();
         let t0 = Instant::now();
-        match quick.next_window(None, |op| *op, |_| false) {
+        match quick.next_window(|op| *op, |_| false) {
             Window::Dispatch { batch, .. } => assert_eq!(batch.len(), 1),
             _ => panic!("expected dispatch after max_delay"),
         }

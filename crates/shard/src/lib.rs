@@ -1,12 +1,14 @@
-//! # ddrs-shard — the multi-group scatter-gather router
+//! # ddrs-shard — the serving front-end and scatter-gather router
 //!
-//! One `Machine` + one store + one scheduler (the `ddrs-service` stack)
-//! saturates at whatever a single SPMD group can sustain. This crate adds
-//! the next scaling axis: the id/key domain is partitioned across `S`
-//! *shard groups*, each owning its own [`Machine`], its own
-//! [`DynamicDistRangeTree`] and its own scheduler thread, behind a single
-//! [`ShardedService`] façade with the same `Ticket`/`Commit { value, seq }`
-//! API as the unsharded service:
+//! This crate turns many small concurrent client requests into the few
+//! big fused machine runs the engine is fast at. The id/key domain is
+//! partitioned across `S` *shard groups*, each owning its own
+//! [`Machine`], its own [`DynamicDistRangeTree`] and its own worker
+//! thread, behind a single [`ShardedService`] façade that hands out
+//! `Ticket`s resolving to `Commit { value, seq }`. A single store is
+//! served as `S = 1` (one machine, [`PartitionPolicy::Hash`]), with the
+//! same write-ahead log and [`ShardedService::recover_shard`] as any
+//! other shard count:
 //!
 //! ```text
 //!  client threads        router thread                 shard groups
@@ -48,18 +50,22 @@
 //!   also resolves the tickets (single-shard directly; cross-shard via a
 //!   shared countdown merging the partials). The router carves and
 //!   scatters the next window while earlier reads are still running, so
-//!   shards with independent work proceed in parallel. Write epochs and
-//!   splits stay synchronous on the router thread — that barrier *is*
-//!   the epoch protocol.
+//!   shards with independent work proceed in parallel. Read sub-batches
+//!   that queue up behind a busy shard ride its next machine run
+//!   together (group commit at the shard), so a burst becomes a few
+//!   large runs rather than a backlog of small ones — on one shard this
+//!   is the classic group-commit loop. Write epochs and splits stay
+//!   synchronous on the router thread — that barrier *is* the epoch
+//!   protocol.
 //! * **Global sequence.** The router assigns every committed response a
-//!   position in one *global* commit order at planning time, exactly
-//!   like the unsharded service: replaying committed requests in `seq`
-//!   order through a sequential oracle reproduces every response. The
-//!   invariant survives concurrent reads because each worker executes
-//!   its jobs in FIFO order and every write epoch is a router barrier:
-//!   a read planned between write epochs `W_k` and `W_{k+1}` reaches
-//!   every shard after `W_k`'s sub-epochs and before `W_{k+1}`'s, so it
-//!   observes exactly the post-`W_k` state its pre-assigned seq claims.
+//!   position in one *global* commit order at planning time: replaying
+//!   committed requests in `seq` order through a sequential oracle
+//!   reproduces every response. The invariant survives concurrent reads
+//!   because each worker executes its jobs in FIFO order and every
+//!   write epoch is a router barrier: a read planned between write
+//!   epochs `W_k` and `W_{k+1}` reaches every shard after `W_k`'s
+//!   sub-epochs and before `W_{k+1}`'s, so it observes exactly the
+//!   post-`W_k` state its pre-assigned seq claims.
 //!
 //! ## Failure containment
 //!
@@ -299,10 +305,10 @@ pub struct ShardParts<const D: usize> {
 /// The sharded serving front-end: `S` shard groups behind one
 /// serializable façade.
 ///
-/// Submission methods take `&self` from any thread and return the same
-/// [`Ticket`]s as the unsharded [`ddrs_service::Service`]; every
-/// committed response carries a position in one *global* commit order
-/// (see the crate docs for the serializability contract).
+/// Submission methods take `&self` from any thread and return
+/// [`Ticket`]s; every committed response carries a position in one
+/// *global* commit order (see the crate docs for the serializability
+/// contract).
 pub struct ShardedService<S: Semigroup, const D: usize> {
     inner: Arc<Inner<S, D>>,
     router: Option<JoinHandle<Vec<ShardParts<D>>>>,
@@ -377,7 +383,7 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let workers: Vec<WorkerHandle<S, D>> = machines
             .into_iter()
             .enumerate()
-            .map(|(i, m)| spawn_worker(i, m, DynamicDistRangeTree::<D>::new(capacity)))
+            .map(|(i, m)| spawn_worker(i, m, DynamicDistRangeTree::<D>::new(capacity), sg))
             .collect();
 
         // One write-ahead log per shard. Non-empty shards log their
@@ -386,8 +392,8 @@ impl<S: Semigroup, const D: usize> ShardedService<S, D> {
         let wals: Vec<EpochWal<D>> = sinks.into_iter().map(EpochWal::with_sink).collect();
 
         // Parallel bulk load; construction statistics are not part of
-        // the service telemetry (mirrors the unsharded service, whose
-        // stats cover exactly its own dispatches).
+        // the service telemetry, which covers exactly its own
+        // dispatches.
         let (tx, rx) = mpsc::channel();
         let mut loading = 0usize;
         for (sh, pts) in parts.into_iter().enumerate() {
@@ -718,10 +724,9 @@ fn router_loop<S: Semigroup, const D: usize>(
         // splits and recoveries are the exclusive kinds (they dispatch
         // alone, between windows, so no in-flight request observes a
         // half-migrated or half-rebuilt store).
-        let window =
-            inner.core.next_window(None, Op::kind, |k| matches!(k, Kind::Split | Kind::Recover));
+        let window = inner.core.next_window(Op::kind, |k| matches!(k, Kind::Split | Kind::Recover));
         let (batch, expired) = match window {
-            Window::Shutdown { rejected, .. } => {
+            Window::Shutdown { rejected } => {
                 inner.stats.lock().completed += rejected.len() as u64;
                 for p in rejected {
                     ddrs_trace::end_err(p.op.span(), Stage::Queue);
@@ -732,7 +737,6 @@ fn router_loop<S: Semigroup, const D: usize>(
                 // shard parts.
                 return stop_workers(router);
             }
-            Window::Idle => continue,
             Window::Dispatch { batch, expired } => (batch, expired),
         };
 
@@ -749,7 +753,7 @@ fn router_loop<S: Semigroup, const D: usize>(
         }
         // Consistency bounds gate reads only (a write observes
         // nothing), judged at dispatch time against the global commit
-        // counter, exactly as in the unsharded service.
+        // counter.
         let (batch, unmet) = gate_reads(batch, router.next_seq, |op| op.kind() == Kind::Read);
         if !unmet.is_empty() {
             inner.stats.lock().completed += unmet.len() as u64;
@@ -970,9 +974,9 @@ impl<S: Semigroup, const D: usize> ShardPlan<S, D> {
 /// Window-level read telemetry, shared by every shard callback of one
 /// scattered window: `dispatches` counts *windows* that reached at least
 /// one machine (not sub-batches), and the batch-size histogram records
-/// client queries per window — the same semantics as the single-store
-/// service, so coalescing numbers stay comparable across front-ends.
-/// The first shard to finish with a real run claims the count.
+/// client queries per window, so coalescing numbers stay comparable
+/// across shard counts. The first shard to finish with a real run
+/// claims the count.
 struct WindowTally {
     routed: u64,
     counted: AtomicBool,
@@ -1116,12 +1120,13 @@ fn dispatch_reads<S: Semigroup, const D: usize>(
         let qb = QueryBatch::from_parts(inner.sg, counts, aggs, reports);
         let cb_inner = Arc::clone(inner);
         let cb_tally = Arc::clone(&tally);
-        let complete: ReadComplete<S> = Box::new(move |result, run_stats| {
+        let complete: ReadComplete<S> = Box::new(move |result, run_stats, ran| {
             finish_shard_reads(
                 &cb_inner,
                 s,
                 result,
                 run_stats,
+                ran,
                 count_slots,
                 agg_slots,
                 report_slots,
@@ -1140,7 +1145,9 @@ fn dispatch_reads<S: Semigroup, const D: usize>(
 }
 
 /// Worker-thread completion of one shard's fused read sub-batch: absorb
-/// the run's stats, resolve single-shard tickets directly, and fold
+/// the run's stats (`ran` says whether the run it rode reached the
+/// machine; sub-batches that shared a run carry its stats only once),
+/// resolve single-shard tickets directly, and fold
 /// cross-shard partials into their shared countdowns (the last shard to
 /// arrive resolves). Stats mutation and partial-folding happen in one
 /// critical section — so a final cross arrival always observes every
@@ -1156,6 +1163,7 @@ fn finish_shard_reads<S: Semigroup, const D: usize>(
     shard: usize,
     result: Result<BatchResults<S>, String>,
     run_stats: RunStats,
+    ran: bool,
     count_slots: Vec<Slot<u64>>,
     agg_slots: Vec<Slot<Option<S::Val>>>,
     report_slots: Vec<Slot<Vec<u32>>>,
@@ -1171,7 +1179,7 @@ fn finish_shard_reads<S: Semigroup, const D: usize>(
     st.per_shard[shard].machine.absorb(&run_stats);
     // ddrs-check: allow(relaxed) — telemetry-only once-flag: it orders
     // no data (all stats mutate under the `stats` lock held here).
-    if run_stats.runs > 0 && !tally.counted.swap(true, Ordering::Relaxed) {
+    if ran && !tally.counted.swap(true, Ordering::Relaxed) {
         st.dispatches += 1;
         st.queries_coalesced += tally.routed;
         st.batch_sizes.record(tally.routed);
@@ -2043,6 +2051,86 @@ mod tests {
         let verdict = service.insert(pts(5..6)).unwrap().wait();
         assert_eq!(verdict, Err(ServiceError::Rejected(BuildError::DuplicateId(5))));
         assert_eq!(service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().value, 60);
+    }
+
+    // A single store is served as a one-shard group: these pin the S = 1
+    // instance of the contract.
+
+    #[test]
+    fn serves_all_three_read_modes() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let all = Rect::new([0, 0], [800, 600]);
+        let c = service.count(all).unwrap();
+        let a = service.aggregate(all).unwrap();
+        let r = service.report(Rect::new([0, 0], [0, 0])).unwrap();
+        assert_eq!(c.wait().unwrap().value, 60);
+        assert_eq!(a.wait().unwrap().value, Some(120));
+        assert_eq!(r.wait().unwrap().value, vec![0]); // point (0,0) is id 0
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (3, 3));
+        assert_eq!(stats.mean_read_fanout(), 1.0);
+    }
+
+    #[test]
+    fn writes_commit_and_reads_observe_them() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let all = Rect::new([0, 0], [800, 600]);
+        service.insert(pts(100..110)).unwrap().wait().unwrap();
+        assert_eq!(service.count(all).unwrap().wait().unwrap().value, 70);
+        service.delete((100..105).collect()).unwrap().wait().unwrap();
+        assert_eq!(service.count(all).unwrap().wait().unwrap().value, 65);
+        let parts = service.shutdown();
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].1.len(), 65);
+    }
+
+    #[test]
+    fn insert_delete_reinsert_in_one_epoch() {
+        // Both writes queue before the router can wake: they land in one
+        // epoch and must still behave sequentially.
+        let service = ShardedService::start(
+            machines(1, 2),
+            8,
+            &pts(0..8),
+            Sum,
+            PartitionPolicy::Hash,
+            ShardedConfig { max_delay: Duration::from_millis(50), ..Default::default() },
+        )
+        .unwrap();
+        // Delete id 3, then re-insert it at a new location.
+        let t1 = service.delete(vec![3]).unwrap();
+        let t2 = service.insert(vec![Point::weighted([700, 500], 3, 9)]).unwrap();
+        let s1 = t1.wait().unwrap().seq;
+        let s2 = t2.wait().unwrap().seq;
+        assert!(s1 < s2, "epoch preserves arrival order in commit seqs");
+        let hit = service.report(Rect::new([700, 500], [700, 500])).unwrap().wait().unwrap();
+        assert_eq!(hit.value, vec![3]);
+        assert_eq!(service.shutdown()[0].1.len(), 8);
+    }
+
+    #[test]
+    fn commit_seqs_are_dense_and_ordered() {
+        let service = quick(1, PartitionPolicy::Hash);
+        let seqs: Vec<u64> = (0..5)
+            .map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap().seq)
+            .collect();
+        assert_eq!(seqs, (seqs[0]..seqs[0] + 5).collect::<Vec<u64>>(), "dense and in order");
+    }
+
+    #[test]
+    fn stats_snapshot_shape() {
+        let service = quick(1, PartitionPolicy::Hash);
+        for _ in 0..10 {
+            service.count(Rect::new([0, 0], [800, 600])).unwrap().wait().unwrap();
+        }
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (10, 10));
+        assert!(stats.machine.runs >= 1);
+        assert!(stats.dispatches >= 1 && stats.dispatches <= 10);
+        assert_eq!(stats.queries_coalesced, 10);
+        assert!(stats.mean_batch_size() >= 1.0);
+        assert_eq!(stats.latency_us.count(), 10);
+        assert_eq!(stats.queue_depth, 0);
     }
 
     #[test]

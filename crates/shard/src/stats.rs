@@ -1,10 +1,8 @@
-//! Sharded-service telemetry: the single-service counters plus a
-//! per-shard breakdown, all bounded-memory.
+//! Sharded-service telemetry: front-end counters plus a per-shard
+//! breakdown, all bounded-memory.
 
 use ddrs_cgm::RunStatsRollup;
-use ddrs_service::register_rollup;
-use ddrs_service::Histogram;
-use ddrs_trace::{MetricsRegistry, StageBreakdown};
+use ddrs_trace::{Histogram, MetricsRegistry, StageBreakdown};
 
 /// Telemetry of one shard group, as seen by the router.
 #[derive(Debug, Clone, Default)]
@@ -140,8 +138,7 @@ impl ShardedStats {
     }
 
     /// Publish this snapshot into a [`MetricsRegistry`] under
-    /// `<prefix>.*` — the same export vocabulary as
-    /// `ServiceStats::register_into`, plus the routing metrics and one
+    /// `<prefix>.*`: the front-end counters, the routing metrics and one
     /// `<prefix>.shard.<i>.*` group per shard.
     pub fn register_into(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.set_counter(&format!("{prefix}.submitted"), self.submitted);
@@ -177,6 +174,16 @@ impl ShardedStats {
     }
 }
 
+/// Publish a CGM [`RunStatsRollup`] into a [`MetricsRegistry`] under
+/// `<prefix>.*`.
+fn register_rollup(rollup: &RunStatsRollup, registry: &MetricsRegistry, prefix: &str) {
+    registry.set_counter(&format!("{prefix}.runs"), rollup.runs);
+    registry.set_counter(&format!("{prefix}.supersteps"), rollup.supersteps);
+    registry.set_counter(&format!("{prefix}.max_h"), rollup.max_h);
+    registry.set_counter(&format!("{prefix}.total_words"), rollup.total_words);
+    registry.set_gauge(&format!("{prefix}.rounds_per_run"), rollup.rounds_per_run());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +198,52 @@ mod tests {
         ];
         assert_eq!(s.total_points(), 40);
         assert_eq!(s.skew(), 1.5);
+    }
+
+    #[test]
+    fn empty_stats_quantiles_are_zero() {
+        let s = ShardedStats::default();
+        assert_eq!(s.p50_latency_us(), 0);
+        assert_eq!(s.p99_latency_us(), 0);
+        assert_eq!(s.latency_us.max(), 0);
+        assert_eq!(s.latency_us.mean(), 0.0);
+    }
+
+    #[test]
+    fn coalescing_factor_and_batch_mean() {
+        let mut s = ShardedStats::default();
+        assert_eq!(s.coalescing_factor(), 0.0);
+        s.queries_coalesced = 120;
+        s.machine.runs = 3;
+        s.batch_sizes.record(40);
+        s.batch_sizes.record(40);
+        s.batch_sizes.record(40);
+        assert_eq!(s.coalescing_factor(), 40.0);
+        assert_eq!(s.mean_batch_size(), 40.0);
+    }
+
+    #[test]
+    fn register_into_publishes_counters_stages_and_rollup() {
+        use ddrs_trace::MetricValue;
+        let mut s = ShardedStats { submitted: 7, completed: 7, ..Default::default() };
+        s.machine.runs = 2;
+        s.machine.supersteps = 6;
+        s.latency_us.record(100);
+        s.stages.queue.record(40);
+        let reg = MetricsRegistry::new();
+        s.register_into(&reg, "service");
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("service.submitted"), Some(&MetricValue::Counter(7)));
+        assert_eq!(snap.get("service.machine.runs"), Some(&MetricValue::Counter(2)));
+        assert_eq!(snap.get("service.stage.queue.max_us"), Some(&MetricValue::Counter(40)));
+        match snap.get("service.latency_us") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 1),
+            other => panic!("latency_us missing or mistyped: {other:?}"),
+        }
+        assert!(matches!(
+            snap.get("service.machine.rounds_per_run"),
+            Some(MetricValue::Gauge(g)) if (*g - 3.0).abs() < 1e-9
+        ));
     }
 
     #[test]

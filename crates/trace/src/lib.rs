@@ -22,7 +22,7 @@
 //!   builds.
 //! * **A unified registry** ([`MetricsRegistry`]): counters, gauges and
 //!   the (relocated) [`Histogram`] under one namespace with one
-//!   `snapshot()`, which `ServiceStats`, `ShardedStats` and
+//!   `snapshot()`, which `ShardedStats`, `NetStats` and
 //!   `RunStatsRollup` register into.
 //! * **Exporters**: [`Trace::export_chrome`] renders captured spans (and
 //!   per-rank machine timelines) as chrome://tracing / Perfetto JSON;
@@ -93,8 +93,8 @@ impl SpanId {
 }
 
 /// The lifecycle stages a request op moves through, front-end agnostic:
-/// the unsharded service and the sharded router both decompose into the
-/// same five stages (per-stage meanings are documented on each variant).
+/// the sharded router and the network front-end decompose into the same
+/// five stages (per-stage meanings are documented on each variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Admission → window fire: time spent pending in the scheduler

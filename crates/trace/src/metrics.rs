@@ -1,6 +1,6 @@
 //! The unified metrics registry.
 //!
-//! Every telemetry surface in the tree (`ServiceStats`, `ShardedStats`,
+//! Every telemetry surface in the tree (`ShardedStats`, `NetStats`,
 //! `RunStatsRollup`, the stage breakdowns) grew its own snapshot shape;
 //! the registry gives them one namespace to publish into and one
 //! [`snapshot`](MetricsRegistry::snapshot) for harnesses and exporters

@@ -1,8 +1,10 @@
-//! Binary framing of epoch records.
+//! Binary framing of epoch records, and the frame primitives shared
+//! with `ddrs-net`'s wire codec.
 //!
 //! # Frame layout
 //!
-//! Every record is one length-prefixed, checksummed frame:
+//! Every record (and every wire message) is one length-prefixed,
+//! checksummed frame:
 //!
 //! ```text
 //! offset  size  field
@@ -38,6 +40,13 @@
 //! partial epoch, never a panic. Decoding never reads past the buffer
 //! and rejects frames whose declared length exceeds
 //! [`MAX_FRAME_PAYLOAD`].
+//!
+//! # Shared primitives
+//!
+//! [`crc32`], [`put_u32`], [`put_u64`], [`encode_frame`] and the
+//! bounds-checked [`Reader`] are the one definition of the frame idiom;
+//! the wire codec builds on them and keeps only its own payload layout
+//! and its own (smaller) payload cap.
 
 use ddrs_rangetree::Point;
 
@@ -185,12 +194,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Append `v` little-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Wrap `payload` in a frame: length prefix, CRC-32, payload.
+pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    put_u32(&mut frame, payload.len() as u32);
+    put_u32(&mut frame, crc32(payload));
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// Encode one record as a complete frame (header + payload), ready to
@@ -217,21 +237,29 @@ pub fn encode_record<const D: usize>(rec: &EpochRecord<D>) -> Vec<u8> {
             payload.extend_from_slice(&c.to_le_bytes());
         }
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    frame
+    encode_frame(&payload)
 }
 
-/// Cursor over a payload with bounds-checked little-endian reads.
-struct Reader<'a> {
+/// Cursor over a payload with bounds-checked little-endian reads: every
+/// accessor returns `None` instead of reading past the buffer.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Take the next `n` bytes, or `None` if fewer remain.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.buf.len() {
             return None;
@@ -241,25 +269,29 @@ impl<'a> Reader<'a> {
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    /// Next byte.
+    pub fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    /// Next little-endian u32.
+    pub fn u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    /// Next little-endian u64.
+    pub fn u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
     }
 
-    fn i64(&mut self) -> Option<i64> {
+    /// Next little-endian i64.
+    pub fn i64(&mut self) -> Option<i64> {
         self.u64().map(|v| v as i64)
     }
 }
 
 fn decode_payload<const D: usize>(payload: &[u8]) -> Result<EpochRecord<D>, String> {
-    let mut r = Reader { buf: payload, pos: 0 };
+    let mut r = Reader::new(payload);
     let version = r.u8().ok_or("payload shorter than version byte")?;
     if version != RECORD_VERSION {
         return Err(format!("unknown record version {version}"));
@@ -301,8 +333,8 @@ fn decode_payload<const D: usize>(payload: &[u8]) -> Result<EpochRecord<D>, Stri
         }
         inserts.push(Point::weighted(coords, id, weight));
     }
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing payload bytes", payload.len() - r.pos));
+    if r.remaining() != 0 {
+        return Err(format!("{} trailing payload bytes", r.remaining()));
     }
     Ok(EpochRecord { kind, first_seq, verdicts, deletes, inserts })
 }

@@ -33,7 +33,7 @@
 
 #![forbid(unsafe_code)]
 
-mod frame;
+pub mod frame;
 mod sink;
 
 pub use frame::{

@@ -1,8 +1,9 @@
 //! The serving layer end to end: concurrent clients, micro-batch
 //! coalescing, epoch-scheduled updates and the telemetry surface.
 //!
-//! Eight client threads fire mixed read/write traffic at a `Service`
-//! fronting a dynamic distributed range tree on an 8-processor machine.
+//! Eight client threads fire mixed read/write traffic at a one-shard
+//! `ShardedService` fronting a dynamic distributed range tree on an
+//! 8-processor machine.
 //! None of them ever assembles a batch — the scheduler group-commits
 //! their small independent requests into few fused SPMD runs, and the
 //! final stats show the coalescing leverage.
@@ -19,26 +20,27 @@ use ddrs::workloads::{request_stream, submit_op, QueryDistribution, RequestMix};
 fn main() {
     let p = 8;
     let clients = 8;
-    let machine = Machine::new(p).unwrap();
 
     // Seed the store with 4096 points; keep another 1024 aside as fresh
     // inserts for the write traffic.
     let all: Vec<Point<2>> =
         WorkloadBuilder::new(3, 5120).points(PointDistribution::UniformCube { side: 1 << 16 });
     let (seed_pts, fresh) = all.split_at(4096);
-    let mut tree = DynamicDistRangeTree::<2>::new(1 << 8);
-    tree.insert_batch(&machine, seed_pts).unwrap();
 
-    let service = Service::start(
-        machine,
-        tree,
+    // A single store is served as one shard.
+    let service = ShardedService::start(
+        vec![Machine::new(p).unwrap()],
+        1 << 8,
+        seed_pts,
         Sum,
-        ServiceConfig {
+        PartitionPolicy::Hash,
+        ShardedConfig {
             max_batch: 96,
             max_delay: Duration::from_micros(250),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     // Open-loop mixed traffic: Poisson arrivals at 30k req/s, 1 write
     // per 16 requests.
@@ -75,7 +77,7 @@ fn main() {
     });
     let wall = start.elapsed();
     let stats = service.stats();
-    let (machine, tree) = service.shutdown();
+    let (machine, tree) = service.shutdown().pop().unwrap();
 
     let served = served.into_inner();
     println!("served {served} requests from {clients} clients in {wall:.2?}");

@@ -29,18 +29,18 @@
 //!   [`MetricsRegistry`](trace::MetricsRegistry), and the
 //!   chrome://tracing exporter — all compiled out of release builds
 //!   unless the `trace` feature is on,
-//! * [`service`] — the concurrent serving front-end: multi-producer
-//!   submission with future-like tickets, adaptive micro-batch
-//!   coalescing into fused runs, bounded-queue admission control,
-//!   per-request deadlines and epoch-scheduled updates with a
-//!   batch-serializability guarantee,
-//! * [`shard`] — the multi-group scatter-gather router: the id/key
-//!   domain partitioned (hash or range policy) across `S` shard groups,
-//!   each with its own machine, store and scheduler, behind one
+//! * [`shard`] — the concurrent serving front-end and scatter-gather
+//!   router: multi-producer submission with future-like tickets,
+//!   adaptive micro-batch coalescing into fused runs, bounded-queue
+//!   admission control, per-request deadlines and epoch-scheduled
+//!   updates with a batch-serializability guarantee. The id/key domain
+//!   is partitioned (hash or range policy) across `S` shard groups,
+//!   each with its own machine and store, behind one
 //!   [`ShardedService`](shard::ShardedService) façade that plans
 //!   cross-shard read batches into per-shard fused sub-batches (≤ `S`
 //!   machine runs per window), routes writes by key, assigns one global
-//!   commit order, and rebalances skewed shards by subtree migration,
+//!   commit order, and rebalances skewed shards by subtree migration. A
+//!   single store is served as `S = 1`,
 //! * [`net`] — the TCP network front-end: a dependency-free
 //!   CRC-framed binary protocol over `std::net`, the
 //!   [`NetServer`](net::NetServer) connection fan-in (per-connection
@@ -87,7 +87,6 @@ pub use ddrs_engine as engine;
 pub use ddrs_net as net;
 pub use ddrs_rangetree as rangetree;
 pub use ddrs_sched as sched;
-pub use ddrs_service as service;
 pub use ddrs_shard as shard;
 pub use ddrs_trace as trace;
 pub use ddrs_wal as wal;
@@ -99,14 +98,14 @@ pub mod prelude {
         BruteForce, KdTree, LayeredRangeTree2d, ReplicatedRangeTree, WeightedDominance2d,
     };
     pub use ddrs_cgm::{Machine, RunStats, RunStatsRollup};
-    pub use ddrs_client::{Consistency, InlineStore, RangeStore, Request, Response, WaitFor};
+    pub use ddrs_client::{
+        Commit, Consistency, InlineStore, RangeStore, Request, Response, ServiceError, SubmitError,
+        Ticket, WaitFor,
+    };
     pub use ddrs_engine::{BatchResults, QueryBatch};
     pub use ddrs_net::{NetConfig, NetServer, NetStats, RemoteConfig, RemoteStore};
     pub use ddrs_rangetree::{
         Count, DistRangeTree, DynamicDistRangeTree, Point, Rect, SeqRangeTree, Sum,
-    };
-    pub use ddrs_service::{
-        Commit, Service, ServiceConfig, ServiceError, ServiceStats, SubmitError, Ticket,
     };
     pub use ddrs_shard::{
         PartitionPolicy, RecoveryReport, ShardedConfig, ShardedService, ShardedStats, SplitReport,

@@ -4,7 +4,7 @@
 //!   and a `std::thread::park` mini-executor, no async runtime anywhere
 //!   in the dependency tree;
 //! * a multi-op `Request` with R reads costs exactly one fused dispatch
-//!   on the unsharded service and at most one per shard on the router
+//!   on a one-shard service and at most one per shard on the router
 //!   (pinned via `RunStats`);
 //! * requests' writes commit before their reads (read-your-writes
 //!   within a request), write verdicts are per-op data;
@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use ddrs::client::{ticket, Consistency, Request};
 use ddrs::prelude::*;
-use ddrs::service::ServiceError;
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -29,16 +28,17 @@ fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
         .collect()
 }
 
-fn service(p: usize, n: u32) -> Service<Sum, 2> {
-    let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(16);
-    tree.insert_batch(&machine, &pts(0..n)).unwrap();
-    Service::start(
-        machine,
-        tree,
+/// A single store, served as one shard.
+fn service(p: usize, n: u32) -> ShardedService<Sum, 2> {
+    ShardedService::start(
+        vec![Machine::new(p).unwrap()],
+        16,
+        &pts(0..n),
         Sum,
-        ServiceConfig { max_delay: Duration::from_micros(100), ..ServiceConfig::default() },
+        PartitionPolicy::Hash,
+        ShardedConfig { max_delay: Duration::from_micros(100), ..ShardedConfig::default() },
     )
+    .unwrap()
 }
 
 fn inline(p: usize, n: u32) -> InlineStore<Sum, 2> {
@@ -234,19 +234,19 @@ fn single_op_conveniences_match_the_request_path() {
 fn oversized_request_reads_still_fuse_into_one_dispatch() {
     // The max_batch window cap must never split one request's read run:
     // 20 reads through a max_batch = 8 service still cost ONE run.
-    let machine = Machine::new(2).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(16);
-    tree.insert_batch(&machine, &pts(0..32)).unwrap();
-    let service = Service::start(
-        machine,
-        tree,
+    let service = ShardedService::start(
+        vec![Machine::new(2).unwrap()],
+        16,
+        &pts(0..32),
         Sum,
-        ServiceConfig {
+        PartitionPolicy::Hash,
+        ShardedConfig {
             max_batch: 8,
             max_delay: Duration::from_micros(100),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )
+    .unwrap();
     let mut req = Request::new();
     let handles: Vec<_> =
         (0..20).map(|i| req.count(Rect::new([0, 0], [800 - i * 2, 600]))).collect();
@@ -265,14 +265,15 @@ fn oversized_request_reads_still_fuse_into_one_dispatch() {
 fn request_larger_than_queue_capacity_is_rejected_as_permanent() {
     // Overloaded is transient ("retry later"); a request that can never
     // fit must say so instead of sending the caller into a retry loop.
-    let machine = Machine::new(1).unwrap();
-    let tree = DynamicDistRangeTree::<2>::new(16);
-    let service = Service::start(
-        machine,
-        tree,
+    let service = ShardedService::start(
+        vec![Machine::new(1).unwrap()],
+        16,
+        &[],
         Sum,
-        ServiceConfig { queue_capacity: 4, ..ServiceConfig::default() },
-    );
+        PartitionPolicy::Hash,
+        ShardedConfig { queue_capacity: 4, ..ShardedConfig::default() },
+    )
+    .unwrap();
     let mut req = Request::new();
     for _ in 0..5 {
         req.count(Rect::new([0, 0], [1, 1]));
@@ -281,10 +282,9 @@ fn request_larger_than_queue_capacity_is_rejected_as_permanent() {
         service.submit(req).err(),
         Some(ddrs::client::SubmitError::RequestTooLarge { ops: 5, capacity: 4 })
     );
-    // The sharded router enforces the same bound through its shared
-    // admission path.
+    // The bound holds whatever the shard count.
     let sharded = ShardedService::start(
-        vec![Machine::new(1).unwrap()],
+        vec![Machine::new(1).unwrap(), Machine::new(1).unwrap()],
         16,
         &pts(0..4),
         Sum,

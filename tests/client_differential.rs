@@ -2,7 +2,7 @@
 //! written entirely against `Box<dyn RangeStore>`, proves
 //!
 //! ```text
-//!   InlineStore ≡ Service ≡ ShardedService ≡ RemoteStore ≡ sequential oracle
+//!   InlineStore ≡ ShardedService (S = 1 and S > 1) ≡ RemoteStore ≡ sequential oracle
 //! ```
 //!
 //! on the same mixed request stream — same values, same write verdicts,
@@ -24,7 +24,6 @@ use ddrs::client::{Request, Ticket};
 use ddrs::net::{NetConfig, NetServer, RemoteConfig, RemoteStore};
 use ddrs::prelude::*;
 use ddrs::rangetree::BuildError;
-use ddrs::service::ServiceError;
 
 type RawPoint = (i64, i64, u64);
 type RawRect = ((i64, i64), (i64, i64));
@@ -130,84 +129,22 @@ fn backends(
     }
     let inline = InlineStore::new(machine, tree, Sum);
 
-    let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(8);
-    if !initial.is_empty() {
-        tree.insert_batch(&machine, initial).unwrap();
-    }
-    let service = Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
+    // Every served backend is a `ShardedService`; "service" is a single
+    // store, served as one shard.
+    let start = |shards: usize, policy: PartitionPolicy| {
+        let machines: Vec<Machine> = (0..shards).map(|_| Machine::new(p).unwrap()).collect();
+        let cfg = ShardedConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(100),
             ..Default::default()
-        },
-    );
-
-    let machines: Vec<Machine> = (0..s).map(|_| Machine::new(p).unwrap()).collect();
-    let sharded_range = ShardedService::start(
-        machines,
-        8,
-        initial,
-        Sum,
-        PartitionPolicy::range_from_sample(s, initial),
-        ShardedConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let machines: Vec<Machine> = (0..s).map(|_| Machine::new(p).unwrap()).collect();
-    let sharded_hash = ShardedService::start(
-        machines,
-        8,
-        initial,
-        Sum,
-        PartitionPolicy::Hash,
-        ShardedConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(100),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(8);
-    if !initial.is_empty() {
-        tree.insert_batch(&machine, initial).unwrap();
-    }
-    let remote_service = remote(Box::new(Service::start(
-        machine,
-        tree,
-        Sum,
-        ServiceConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(100),
-            ..Default::default()
-        },
-    )));
-
-    let machines: Vec<Machine> = (0..s).map(|_| Machine::new(p).unwrap()).collect();
-    let remote_sharded = remote(Box::new(
-        ShardedService::start(
-            machines,
-            8,
-            initial,
-            Sum,
-            PartitionPolicy::Hash,
-            ShardedConfig {
-                max_batch: 16,
-                max_delay: Duration::from_micros(100),
-                ..Default::default()
-            },
-        )
-        .unwrap(),
-    ));
+        };
+        ShardedService::start(machines, 8, initial, Sum, policy, cfg).unwrap()
+    };
+    let service = start(1, PartitionPolicy::Hash);
+    let sharded_range = start(s, PartitionPolicy::range_from_sample(s, initial));
+    let sharded_hash = start(s, PartitionPolicy::Hash);
+    let remote_service = remote(Box::new(start(1, PartitionPolicy::Hash)));
+    let remote_sharded = remote(Box::new(start(s, PartitionPolicy::Hash)));
 
     vec![
         ("inline", Box::new(inline)),

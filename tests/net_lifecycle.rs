@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddrs::cgm::Machine;
-use ddrs::client::{ticket, InlineStore, RangeStore, Request, Response, Ticket};
+use ddrs::client::{ticket, InlineStore, RangeStore, Request, Response, SubmitError, Ticket};
 use ddrs::net::{NetConfig, NetError, NetServer, RemoteConfig, RemoteStore};
 use ddrs::rangetree::{DynamicDistRangeTree, Point, Rect, Sum};
-use ddrs::service::{Service, ServiceConfig, SubmitError};
+use ddrs::shard::{PartitionPolicy, ShardedConfig, ShardedService};
 
 fn inline_store(n: u32) -> InlineStore<Sum, 2> {
     let machine = Machine::new(1).unwrap();
@@ -83,7 +83,7 @@ fn client_disconnect_with_tickets_in_flight_is_accounted_and_survivable() {
     for t in tickets {
         // The pool's drop resolves every orphaned ticket the way an
         // in-process store's shutdown would.
-        assert_eq!(t.wait(), Err(ddrs::service::ServiceError::ShuttingDown));
+        assert_eq!(t.wait(), Err(ddrs::client::ServiceError::ShuttingDown));
     }
 
     // Every admitted response is accounted — flushed into a doomed
@@ -193,14 +193,21 @@ fn idle_connections_are_reaped_by_the_read_deadline() {
 
 #[test]
 fn fused_dispatch_pin_holds_through_the_wire() {
-    let machine = Machine::new(2).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(8);
+    let machines = vec![Machine::new(2).unwrap()];
     let pts: Vec<Point<2>> =
         (0..48).map(|i| Point::weighted([i as i64 * 16, (i as i64 * 37) % 600], i, 2)).collect();
-    tree.insert_batch(&machine, &pts).unwrap();
+    let service = ShardedService::start(
+        machines,
+        8,
+        &pts,
+        Sum,
+        PartitionPolicy::Hash,
+        ShardedConfig::default(),
+    )
+    .unwrap();
     // Served behind an `Arc` so the test keeps a stats handle to the
     // very service instance on the far side of the socket.
-    let service = Arc::new(Service::start(machine, tree, Sum, ServiceConfig::default()));
+    let service = Arc::new(service);
     let server =
         NetServer::serve(Box::new(Arc::clone(&service)), "127.0.0.1:0", NetConfig::default())
             .unwrap();

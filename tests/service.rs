@@ -1,6 +1,7 @@
-//! Serving-layer integration tests: batch serializability under
-//! concurrent clients and interleaved updates, shutdown under load,
-//! deadlines, backpressure and the zero-run short-circuit pins.
+//! Serving-layer integration tests on a single store (a one-shard
+//! `ShardedService`): batch serializability under concurrent clients and
+//! interleaved updates, shutdown under load, deadlines, backpressure and
+//! the zero-run short-circuit pins.
 //!
 //! The central instrument is a *sequential oracle*: a naive, obviously
 //! correct model of the store (a flat vector of points). Every committed
@@ -17,7 +18,6 @@ use std::time::Duration;
 
 use ddrs::prelude::*;
 use ddrs::rangetree::{BuildError, PAD_ID};
-use ddrs::service::ServiceError;
 
 fn pts(range: std::ops::Range<u32>) -> Vec<Point<2>> {
     range
@@ -139,17 +139,9 @@ fn replay(initial: &[Point<2>], mut events: Vec<(u64, Event)>) {
     }
 }
 
-fn start_service(
-    p: usize,
-    initial: &[Point<2>],
-    cfg: ServiceConfig,
-) -> ddrs::service::Service<Sum, 2> {
+fn start_service(p: usize, initial: &[Point<2>], cfg: ShardedConfig) -> ShardedService<Sum, 2> {
     let machine = Machine::new(p).unwrap();
-    let mut tree = DynamicDistRangeTree::<2>::new(32);
-    if !initial.is_empty() {
-        tree.insert_batch(&machine, initial).unwrap();
-    }
-    ddrs::service::Service::start(machine, tree, Sum, cfg)
+    ShardedService::start(vec![machine], 32, initial, Sum, PartitionPolicy::Hash, cfg).unwrap()
 }
 
 /// 8 query-only client threads; every response must match the oracle (no
@@ -161,7 +153,7 @@ fn concurrent_readers_match_oracle() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 32,
             max_delay: Duration::from_micros(300),
             ..Default::default()
@@ -212,7 +204,7 @@ fn interleaved_updates_are_batch_serializable() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 24,
             max_delay: Duration::from_micros(200),
             ..Default::default()
@@ -293,7 +285,7 @@ fn interleaved_updates_are_batch_serializable() {
     }
     let stats = service.stats();
     assert!(stats.write_epochs >= 1, "updates must have applied in epochs");
-    let (machine, tree) = service.shutdown();
+    let (machine, tree) = service.shutdown().pop().unwrap();
     let events = events.into_inner().unwrap();
     // The final store must agree with the oracle end-state, too.
     let mut oracle = Oracle::new(&initial);
@@ -321,13 +313,13 @@ fn shutdown_under_load_drains_accepted_work() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(200),
             ..Default::default()
         },
     );
-    let accepted: Mutex<Vec<ddrs::service::Ticket<u64>>> = Mutex::new(Vec::new());
+    let accepted: Mutex<Vec<Ticket<u64>>> = Mutex::new(Vec::new());
     let shut_out = Mutex::new(0u64);
     std::thread::scope(|s| {
         for t in 0..6u64 {
@@ -367,7 +359,7 @@ fn shutdown_under_load_drains_accepted_work() {
         served += 1;
         assert!(c.value <= oracle.pts.len() as u64);
     }
-    let (_, tree) = service.shutdown();
+    let (_, tree) = service.shutdown().pop().unwrap();
     assert_eq!(tree.len(), 150, "read-only load leaves the store unchanged");
     assert!(served > 0);
 }
@@ -380,11 +372,16 @@ fn abort_rejects_pending_requests() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig { max_batch: 1024, max_delay: Duration::from_secs(5), queue_capacity: 1024 },
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_secs(5),
+            queue_capacity: 1024,
+            ..Default::default()
+        },
     );
     let tickets: Vec<_> =
         (0..20).map(|_| service.count(Rect::new([0, 0], [800, 600])).unwrap()).collect();
-    let (_, tree) = service.abort();
+    let (_, tree) = service.abort().pop().unwrap();
     for t in tickets {
         assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
     }
@@ -399,7 +396,7 @@ fn queued_deadline_expires_without_touching_the_machine() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig {
+        ShardedConfig {
             max_batch: 1024,
             max_delay: Duration::from_millis(80),
             ..Default::default()
@@ -426,7 +423,12 @@ fn backpressure_rejects_beyond_capacity() {
     let service = start_service(
         2,
         &initial,
-        ServiceConfig { max_batch: 1024, max_delay: Duration::from_millis(300), queue_capacity: 4 },
+        ShardedConfig {
+            max_batch: 1024,
+            max_delay: Duration::from_millis(300),
+            queue_capacity: 4,
+            ..Default::default()
+        },
     );
     let q = Rect::new([0, 0], [800, 600]);
     let mut tickets = Vec::new();
@@ -461,7 +463,7 @@ fn empty_store_and_empty_writes_cost_zero_runs() {
     let service = start_service(
         2,
         &[],
-        ServiceConfig { max_batch: 8, max_delay: Duration::from_micros(100), ..Default::default() },
+        ShardedConfig { max_batch: 8, max_delay: Duration::from_micros(100), ..Default::default() },
     );
     let q = Rect::new([0, 0], [800, 600]);
     assert_eq!(service.count(q).unwrap().wait().unwrap().value, 0);
@@ -486,7 +488,7 @@ fn a_full_window_coalesces_into_one_dispatch() {
     let service = start_service(
         4,
         &initial,
-        ServiceConfig { max_batch: 32, max_delay: Duration::from_secs(2), ..Default::default() },
+        ShardedConfig { max_batch: 32, max_delay: Duration::from_secs(2), ..Default::default() },
     );
     let mut rng = TestRng(42);
     let tickets: Vec<_> = (0..32)
@@ -523,4 +525,82 @@ fn a_full_window_coalesces_into_one_dispatch() {
     assert_eq!(stats.machine.runs, 1, "one dispatch is one fused machine run");
     assert_eq!(stats.mean_batch_size(), 32.0);
     assert_eq!(stats.coalescing_factor(), 32.0);
+}
+
+/// Group commit under a backlog: with `max_batch = 1` every request is
+/// its own window, and the windows carved while the machine is busy
+/// queue up behind it and share its next run instead of paying one
+/// run each.
+#[test]
+fn windows_queued_behind_a_busy_store_share_one_run() {
+    let initial = pts(0..128);
+    let service = start_service(
+        2,
+        &initial,
+        ShardedConfig { max_batch: 1, max_delay: Duration::from_micros(50), ..Default::default() },
+    );
+    let mut rng = TestRng(9);
+    let queries: Vec<Rect<2>> = (0..64).map(|_| rng.rect()).collect();
+    let tickets: Vec<_> = queries.iter().map(|q| service.count(*q).unwrap()).collect();
+    let oracle = Oracle::new(&initial);
+    for (q, t) in queries.iter().zip(tickets) {
+        assert_eq!(t.wait().unwrap().value, oracle.count(q));
+    }
+    let stats = service.stats();
+    assert_eq!((stats.dispatches, stats.queries_coalesced), (64, 64));
+    assert!(stats.machine.runs < 64, "queued windows must share runs: {} runs", stats.machine.runs);
+}
+
+/// What a single store gains from being served as one shard: a write
+/// epoch that fails mid-apply poisons the only shard, every later
+/// request fails typed instead of hanging, and `recover_shard` rebuilds
+/// the store from its write-ahead log to exactly the committed state.
+#[test]
+fn poisoned_single_store_fails_typed_then_recovers_from_its_log() {
+    let initial = pts(0..96);
+    let service = start_service(
+        2,
+        &initial,
+        ShardedConfig { max_delay: Duration::from_micros(100), ..Default::default() },
+    );
+    let mut oracle = Oracle::new(&initial);
+    let fresh = pts(200..216);
+    service.insert(fresh.clone()).unwrap().wait().unwrap();
+    oracle.insert(&fresh).unwrap();
+    let dead: Vec<u32> = (0..10).collect();
+    service.delete(dead.clone()).unwrap().wait().unwrap();
+    oracle.delete(&dead);
+
+    service.fail_next_write_epoch(0);
+    let doomed = service.insert(pts(300..310)).unwrap().wait();
+    assert!(matches!(doomed, Err(ServiceError::Machine(_))), "{doomed:?}");
+    assert!(service.stats().per_shard[0].poisoned.is_some());
+
+    // Reads and writes against the quarantined store fail typed.
+    let all = Rect::new([0, 0], [800, 600]);
+    let outcomes = [
+        service.count(all).unwrap().map(|_| ()).wait_for(Duration::from_secs(10)),
+        service.report(all).unwrap().map(|_| ()).wait_for(Duration::from_secs(10)),
+        service.delete(vec![50]).unwrap().wait_for(Duration::from_secs(10)),
+    ];
+    for outcome in outcomes {
+        let WaitFor::Ready(result) = outcome else {
+            panic!("a poisoned store left a request hanging")
+        };
+        assert!(matches!(result, Err(ServiceError::Machine(_))), "{result:?}");
+    }
+
+    // Recovery replays exactly the committed writes.
+    let report = service.recover_shard(0).unwrap().wait().unwrap().value;
+    assert_eq!(report.live_points, oracle.pts.len());
+    assert!(report.clean_tail);
+    assert_eq!(service.report(all).unwrap().wait().unwrap().value, oracle.report(&all));
+    let mut rng = TestRng(5);
+    for _ in 0..16 {
+        let q = rng.rect();
+        assert_eq!(service.count(q).unwrap().wait().unwrap().value, oracle.count(&q));
+        assert_eq!(service.aggregate(q).unwrap().wait().unwrap().value, oracle.aggregate(&q));
+    }
+    let (_, tree) = service.shutdown().pop().unwrap();
+    assert_eq!(tree.len(), oracle.pts.len());
 }

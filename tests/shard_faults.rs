@@ -14,7 +14,6 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use ddrs::prelude::*;
-use ddrs::service::ServiceError;
 
 fn machines(s: usize, p: usize) -> Vec<Machine> {
     (0..s).map(|_| Machine::new(p).unwrap()).collect()

@@ -24,7 +24,6 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use ddrs::prelude::*;
-use ddrs::service::ServiceError;
 use ddrs::trace::{MetricValue, MetricsRegistry};
 use ddrs::wal::{decode_log, replay_into_store, EpochRecord, FileSink, LogSink, LogTail, MemSink};
 
