@@ -70,7 +70,9 @@ impl Ctx<'_> {
     }
 
     /// [`load_balance`](Ctx::load_balance) with owner-side lazy resource
-    /// lookup (only demanded resources are cloned) and per-item weights:
+    /// lookup (`get` runs once per shipped copy, only for demanded
+    /// resources; with `R = Arc<_>` a copy is a refcount bump, still
+    /// charged the pointee's full [`Payload`] words) and per-item weights:
     /// congestion `c_j` and item routing are computed over total *weight*
     /// rather than item count, which is what Algorithm Report needs (its
     /// items are selected segment trees weighed by their leaf counts).

@@ -7,6 +7,8 @@
 //! would serialize onto the wire. The [`Payload`] trait lets every shippable
 //! type report its true transfer size.
 
+use std::sync::Arc;
+
 /// A value that can be sent through a CGM collective.
 ///
 /// `words` is the number of 8-byte machine words a message of this value
@@ -79,6 +81,15 @@ impl<T: Payload> Payload for Box<T> {
     }
 }
 
+/// A shared value is charged as the value itself. The simulated machine
+/// ships an `Arc` by bumping its refcount, but a real multicomputer would
+/// serialize the whole pointee, so the h-relation metering stays exact.
+impl<T: Payload + Sync> Payload for Arc<T> {
+    fn words(&self) -> u64 {
+        (**self).words()
+    }
+}
+
 impl Payload for String {
     fn words(&self) -> u64 {
         1 + (self.len() as u64).div_ceil(8)
@@ -127,6 +138,13 @@ mod tests {
         assert_eq!(nested.words(), 1 + 2 * (1 + 4));
         assert_eq!(Some(7u64).words(), 2);
         assert_eq!(Option::<u64>::None.words(), 1);
+    }
+
+    #[test]
+    fn arc_is_charged_as_its_pointee() {
+        let x = vec![1u64, 2, 3];
+        assert_eq!(Arc::new(x.clone()).words(), x.words());
+        assert_eq!(Arc::new(7u128).words(), 2);
     }
 
     #[test]

@@ -30,17 +30,23 @@
 //! caveat, recorded in [`ProcState::phase_records`].
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use ddrs_cgm::{log2_exact, Ctx, Payload};
 
 use crate::dist::hat::{child_key, Hat, HatTree, ROOT_KEY};
+use crate::dist::memo::FoldMemo;
 use crate::heap;
 use crate::point::RPoint;
-use crate::seq::DimTree;
+use crate::semigroup::Semigroup;
+use crate::seq::{sel_fold_with, AggCache, DimTree, Sel};
 
 /// One forest element: a sequential range tree over one `n/p`-point
 /// group, starting at the dimension of the hat tree it hangs from.
-#[derive(Debug, Clone)]
+///
+/// Entries are immutable once built and shared by `Arc`: a congestion
+/// copy is the owner's entry, not a deep clone of it.
+#[derive(Debug)]
 pub struct ForestEntry<const D: usize> {
     /// The group's subtree: dimensions `start_dim..D` over `g` points
     /// (pads included as trailing leaves).
@@ -51,13 +57,40 @@ pub struct ForestEntry<const D: usize> {
     pub key: u64,
     /// Leaf position within that hat tree.
     pub group: u32,
+    /// Bottom-up semigroup values of the final-dimension trees inside
+    /// `tree`, filled on first use and kept for the entry's lifetime.
+    folds: FoldMemo,
+    /// [`Payload::words`], counted on the first shipment: walking the
+    /// subtree costs as much as a batch does.
+    words: OnceLock<u64>,
+}
+
+impl<const D: usize> ForestEntry<D> {
+    /// `f` folded over this entry's real points: the forest-root value
+    /// step 1 of Algorithm AssociativeFunction all-gathers. Served from
+    /// the memo after the first call; meaningful for final-dimension
+    /// entries (`start_dim == D - 1`).
+    pub(crate) fn root_fold<S: Semigroup>(&self, sg: &S) -> Option<S::Val> {
+        self.sel_fold(sg, &Sel::Node { tree: &self.tree, v: 1 }, &mut AggCache::new())
+    }
+
+    /// `⊗` of `f` over a selection made inside this entry's tree, with
+    /// node values from the memo (through the per-batch `cache`).
+    pub(crate) fn sel_fold<S: Semigroup>(
+        &self,
+        sg: &S,
+        sel: &Sel<'_, D>,
+        cache: &mut AggCache<S>,
+    ) -> Option<S::Val> {
+        sel_fold_with(sg, sel, cache, |tree| self.folds.tree_folds(sg, tree))
+    }
 }
 
 impl<const D: usize> Payload for ForestEntry<D> {
     fn words(&self) -> u64 {
         // Key/group/dim header plus the whole subtree payload — what a
         // real machine would serialize when shipping a congestion copy.
-        2 + self.tree.payload_words()
+        *self.words.get_or_init(|| 2 + self.tree.payload_words())
     }
 }
 
@@ -69,7 +102,7 @@ pub struct ProcState<const D: usize> {
     pub hat: Hat,
     /// Forest elements owned by this processor, by forest id
     /// (`owner(fid) = fid mod p`).
-    pub forest: BTreeMap<u32, ForestEntry<D>>,
+    pub forest: BTreeMap<u32, Arc<ForestEntry<D>>>,
     /// Global record volume `|S^j|` of each construction phase (identical
     /// on every processor; the paper's Section 5 caveat quantities).
     pub phase_records: Vec<u64>,
@@ -105,7 +138,7 @@ pub fn construct<const D: usize>(
     let key_shift = log2_exact(p) + 1;
 
     let mut hats: BTreeMap<u64, HatTree> = BTreeMap::new();
-    let mut forest: BTreeMap<u32, ForestEntry<D>> = BTreeMap::new();
+    let mut forest: BTreeMap<u32, Arc<ForestEntry<D>>> = BTreeMap::new();
     let mut phase_records: Vec<u64> = Vec::with_capacity(D);
     let mut next_fid: u32 = 0;
 
@@ -183,7 +216,15 @@ pub fn construct<const D: usize>(
                 if real == 0 { (u32::MAX, 0) } else { (pts[0].ranks[j], pts[real - 1].ranks[j]) };
             summaries.push((key, gidx, fid, lo, hi, real as u32));
             let tree = DimTree::build(j, pts);
-            forest.insert(fid, ForestEntry { tree, start_dim: j as u8, key, group: gidx });
+            let entry = ForestEntry {
+                tree,
+                start_dim: j as u8,
+                key,
+                group: gidx,
+                folds: FoldMemo::default(),
+                words: OnceLock::new(),
+            };
+            forest.insert(fid, Arc::new(entry));
             built.push((key, gidx, fid));
         }
 

@@ -11,14 +11,20 @@
 //!
 //! 1. one all-gather fills the final-dimension hat aggregates of every
 //!    level at once (skipped when the batch has no aggregate queries —
-//!    counting reads the replicated `cnt` arrays directly);
+//!    counting reads the replicated `cnt` arrays directly). The forest-root
+//!    folds it gathers are memoized on each level's [`ForestEntry`]s, so
+//!    only a level's first aggregate batch of a semigroup folds its
+//!    points;
 //! 2. the hat stages of every mode and level run locally; forest visits
 //!    are tagged with a *composite* resource id `(level << 32) | fid` so
 //!    one multisearch balancing round (three supersteps,
 //!    [`Ctx::load_balance_weighted_with`]) evens out the forest work of
 //!    the whole batch — report visits weighted by their group's output
-//!    volume, exactly as Algorithm Report prescribes;
-//! 3. count/aggregate partials from all levels share one global sort +
+//!    volume, exactly as Algorithm Report prescribes. A congestion copy
+//!    shares its owner's entry by `Arc` and is charged its full words;
+//! 3. forest finishes: aggregate selections read node values from the
+//!    same memo instead of re-folding each touched tree per batch;
+//! 4. count/aggregate partials from all levels share one global sort +
 //!    segmented fold; report pairs from all levels share one
 //!    order-preserving rebalance.
 //!
@@ -31,15 +37,18 @@
 //! [`Ctx::load_balance_weighted_with`]: ddrs_cgm::Ctx::load_balance_weighted_with
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ddrs_cgm::{CgmError, Machine};
 
 use crate::dist::construct::ForestEntry;
-use crate::dist::search::{fill_hat_values, group_weights, hat_stage, report_visits, QueryRec};
+use crate::dist::search::{
+    fill_hat_values, group_weights, hat_stage, report_visits, root_folds, QueryRec,
+};
 use crate::dist::DistRangeTree;
 use crate::point::Rect;
-use crate::semigroup::{comb_opt, fold_points, Semigroup};
-use crate::seq::{sel_count, sel_fold, sel_report, AggCache};
+use crate::semigroup::{comb_opt, Semigroup};
+use crate::seq::{sel_count, sel_report, AggCache};
 
 /// Results of one fused batch, per mode, in submission order.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,19 +180,13 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
         // all-gather. Counting needs no fill: the hat's replicated `cnt`
         // arrays already hold the Count folds.
         let hat_vals: Vec<BTreeMap<u64, Vec<Option<S::Val>>>> = if has_agg {
-            let mut root_vals: Vec<(u64, Option<S::Val>)> = Vec::new();
-            for (li, state) in states.iter().enumerate() {
-                for (&fid, entry) in
-                    state.forest.iter().filter(|(_, e)| e.start_dim as usize == D - 1)
-                {
-                    let real = entry.tree.r as usize;
-                    let fold = fold_points(
-                        &sg,
-                        entry.tree.leaves[..real].iter().map(|pt| (pt.id, pt.weight)),
-                    );
-                    root_vals.push((compose(li, fid), fold));
-                }
-            }
+            let root_vals: Vec<(u64, Option<S::Val>)> = states
+                .iter()
+                .enumerate()
+                .flat_map(|(li, state)| {
+                    root_folds(state, &sg).map(move |(fid, v)| (compose(li, fid), v))
+                })
+                .collect();
             let mut per_level: Vec<HashMap<u64, Option<S::Val>>> =
                 (0..levels.len()).map(|_| HashMap::new()).collect();
             for (cid, v) in ctx.all_gather(root_vals).into_iter().flatten() {
@@ -241,14 +244,15 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
             &owned_ids,
             |cid| {
                 let (li, fid) = decompose(cid);
-                states[li].forest[&fid].clone()
+                Arc::clone(&states[li].forest[&fid])
             },
             items,
         );
         let copies: HashMap<u64, &ForestEntry<D>> =
-            outcome.resources.iter().map(|(cid, entry)| (*cid, entry)).collect();
+            outcome.resources.iter().map(|(cid, entry)| (*cid, &**entry)).collect();
 
-        // (4) Forest finishes (local) for all three modes.
+        // (4) Forest finishes (local) for all three modes. Aggregate
+        // selections read node values from the entries' fold memos.
         let mut cache: AggCache<S> = AggCache::new();
         let mut report_pairs: Vec<(u32, u32)> = Vec::new();
         let mut sels = Vec::new();
@@ -268,7 +272,7 @@ pub fn try_fused_query_batch<S: Semigroup, const D: usize>(
             } else if (qid as usize) < n_c + n_a {
                 let mut acc: Option<S::Val> = None;
                 for s in &sels {
-                    acc = comb_opt(&sg, acc, sel_fold(&sg, s, &mut cache));
+                    acc = comb_opt(&sg, acc, entry.sel_fold(&sg, s, &mut cache));
                 }
                 if let Some(val) = acc {
                     pairs.push((qid as u64, (0, Some(val))));

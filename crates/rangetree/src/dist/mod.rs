@@ -23,6 +23,7 @@ pub mod construct;
 pub mod dynamic;
 pub mod fused;
 pub mod hat;
+mod memo;
 pub mod search;
 
 use std::collections::HashMap;
@@ -36,11 +37,11 @@ pub use hat::ROOT_KEY;
 
 use crate::point::{Point, Rect};
 use crate::rank::{RankError, RankSpace};
-use crate::semigroup::{comb_opt, fold_points, Count, Semigroup};
-use crate::seq::{sel_fold, sel_report, AggCache};
+use crate::semigroup::{comb_opt, Count, Semigroup};
+use crate::seq::{sel_report, AggCache};
 use search::{
-    balance_visits, balance_visits_report, fill_hat_values, hat_stage, report_visits, tree_for,
-    QueryRec,
+    balance_visits, balance_visits_report, fill_hat_values, hat_stage, report_visits, root_folds,
+    tree_for, QueryRec,
 };
 
 /// Errors from distributed range-tree construction.
@@ -172,24 +173,11 @@ impl<const D: usize> DistRangeTree<D> {
         let per_rank: Vec<Vec<(u64, S::Val)>> = machine.run(|ctx| {
             let state = &self.states[ctx.rank()];
 
-            // (1) Value fill: the final-dimension forest roots' folds,
-            // all-gathered, then combined bottom-up into the
-            // final-dimension hat trees. Only final-dimension hat trees
-            // resolve selections from values, so earlier phases' forest
-            // entries need no fold.
-            let root_vals: Vec<(u64, Option<S::Val>)> = state
-                .forest
-                .iter()
-                .filter(|(_, entry)| entry.start_dim as usize == D - 1)
-                .map(|(&fid, entry)| {
-                    let real = entry.tree.r as usize;
-                    let fold = fold_points(
-                        &sg,
-                        entry.tree.leaves[..real].iter().map(|pt| (pt.id, pt.weight)),
-                    );
-                    (fid as u64, fold)
-                })
-                .collect();
+            // (1) Value fill: the final-dimension forest roots' folds
+            // (memoized per level), all-gathered, then combined bottom-up
+            // into the final-dimension hat trees.
+            let root_vals: Vec<(u64, Option<S::Val>)> =
+                root_folds(state, &sg).map(|(fid, v)| (fid as u64, v)).collect();
             let roots: HashMap<u64, Option<S::Val>> =
                 ctx.all_gather(root_vals).into_iter().flatten().collect();
             let hat_vals = fill_hat_values(state, &sg, &roots);
@@ -208,16 +196,17 @@ impl<const D: usize> DistRangeTree<D> {
             // (3) Congestion balancing of the forest visits.
             let (trees, items) = balance_visits(ctx, state, stage.visits);
 
-            // (4) Forest finishes (local), with the per-batch bottom-up
-            // value cache of Algorithm AssociativeFunction.
+            // (4) Forest finishes (local), reading the bottom-up values
+            // of Algorithm AssociativeFunction from each entry's memo.
             let mut cache: AggCache<S> = AggCache::new();
             let mut sels = Vec::new();
             for (fid, (qid, q)) in items {
+                let entry = tree_for(&trees, state, fid);
                 sels.clear();
-                tree_for(&trees, state, fid).tree.search(&q, &mut sels);
+                entry.tree.search(&q, &mut sels);
                 let mut acc: Option<S::Val> = None;
                 for s in &sels {
-                    acc = comb_opt(&sg, acc, sel_fold(&sg, s, &mut cache));
+                    acc = comb_opt(&sg, acc, entry.sel_fold(&sg, s, &mut cache));
                 }
                 if let Some(val) = acc {
                     pairs.push((qid as u64, val));

@@ -22,6 +22,7 @@
 //! share of forest searches regardless of skew.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use ddrs_cgm::Ctx;
 
@@ -136,9 +137,13 @@ pub(crate) fn report_visits<const D: usize>(
     stage(state, queries, Mode::Report).visits
 }
 
+/// Forest-tree copies shipped to one processor, by forest id. Each copy
+/// shares its owner's entry.
+pub type ShippedCopies<const D: usize> = HashMap<u64, Arc<ForestEntry<D>>>;
+
 /// Result of [`balance_visits`]: the forest-tree copies shipped to this
 /// processor and the `(forest id, subquery)` visits routed to it.
-pub type BalancedVisits<const D: usize> = (Vec<(u64, ForestEntry<D>)>, Vec<(u64, QueryRec<D>)>);
+pub type BalancedVisits<const D: usize> = (ShippedCopies<D>, Vec<(u64, QueryRec<D>)>);
 
 /// The multisearch balancing step (Search steps 2–4): replicate
 /// congested forest trees and route every visit to a processor holding a
@@ -192,24 +197,35 @@ fn balance_weighted<const D: usize>(
         visits.into_iter().map(|(fid, rec)| (fid, rec, weight(fid))).collect();
     let outcome = ctx.load_balance_weighted_with(
         &owned_ids,
-        |fid| state.forest[&(fid as u32)].clone(),
+        |fid| Arc::clone(&state.forest[&(fid as u32)]),
         items,
     );
-    (outcome.resources, outcome.items)
+    (outcome.resources.into_iter().collect(), outcome.items)
 }
 
 /// Resolve a balanced visit's target tree: a copy shipped by
 /// [`balance_visits`], or this processor's own original.
 pub fn tree_for<'a, const D: usize>(
-    trees: &'a [(u64, ForestEntry<D>)],
+    trees: &'a ShippedCopies<D>,
     state: &'a ProcState<D>,
     fid: u64,
 ) -> &'a ForestEntry<D> {
-    trees
+    trees.get(&fid).unwrap_or_else(|| &state.forest[&(fid as u32)])
+}
+
+/// Algorithm AssociativeFunction step 1 for the forest: `(forest id,
+/// root fold)` of every final-dimension forest entry this processor owns,
+/// read from the entries' memos. Only final-dimension hat trees resolve
+/// selections from values, so earlier phases' entries need no fold.
+pub(crate) fn root_folds<'a, S: Semigroup, const D: usize>(
+    state: &'a ProcState<D>,
+    sg: &'a S,
+) -> impl Iterator<Item = (u32, Option<S::Val>)> + 'a {
+    state
+        .forest
         .iter()
-        .find(|(f, _)| *f == fid)
-        .map(|(_, entry)| entry)
-        .unwrap_or_else(|| &state.forest[&(fid as u32)])
+        .filter(|(_, entry)| entry.start_dim as usize == D - 1)
+        .map(move |(&fid, entry)| (fid, entry.root_fold(sg)))
 }
 
 /// Algorithm AssociativeFunction step 1 for the hat: given the

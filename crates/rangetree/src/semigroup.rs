@@ -11,6 +11,12 @@ use ddrs_cgm::Payload;
 ///
 /// `lift` maps a point (its id and weight) to a semigroup value; `comb` is
 /// the associative, commutative operation `⊗`.
+///
+/// Contract: `lift` and `comb` are functions of the implementing *type*
+/// alone, never of a value's fields or of outside state. The distributed
+/// tree memoizes each static level's folds by the semigroup's `TypeId`
+/// and reuses them across batches, so two values of one type must fold
+/// identically. All four semigroups shipped here are zero-sized.
 pub trait Semigroup: Copy + Send + Sync + 'static {
     /// Semigroup element type.
     type Val: Payload + Clone + Send + Sync + std::fmt::Debug + PartialEq;

@@ -1,6 +1,7 @@
 //! Evaluating selections: count, report, and semigroup folds.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::heap;
 use crate::point::RPoint;
@@ -40,12 +41,42 @@ pub fn sel_points<'t, const D: usize>(
     slice.iter()
 }
 
-/// Per-batch bottom-up value arrays for the final-dimension trees, the
-/// sequential analog of Algorithm AssociativeFunction step 1 ("compute
-/// f(v) bottom-up for each node v in dimension d of T"). Trees are keyed
-/// by address; the cache must not outlive the tree borrow it serves.
+/// Bottom-up `f` values of the internal nodes of a final-dimension tree,
+/// the sequential analog of Algorithm AssociativeFunction step 1
+/// ("compute f(v) bottom-up for each node v in dimension d of T"). Slot
+/// `v` holds `f(v)` for internal node `1 ≤ v < m`; slot 0 is unused.
+/// Leaf values are one `lift` each and are not stored.
+pub(crate) fn internal_folds<S: Semigroup, const D: usize>(
+    sg: &S,
+    tree: &DimTree<D>,
+) -> Arc<[Option<S::Val>]> {
+    let m = tree.m as usize;
+    let mut vals: Vec<Option<S::Val>> = vec![None; m];
+    // Parents of leaves read the points; higher nodes read their children.
+    for v in ((m / 2).max(1)..m).rev() {
+        vals[v] = comb_opt(sg, leaf_fold(sg, tree, 2 * v), leaf_fold(sg, tree, 2 * v + 1));
+    }
+    for v in (1..m / 2).rev() {
+        vals[v] = comb_opt(sg, vals[2 * v].clone(), vals[2 * v + 1].clone());
+    }
+    vals.into()
+}
+
+/// `f` of leaf node `v` of `tree`: its point lifted, or `None` for a pad.
+fn leaf_fold<S: Semigroup, const D: usize>(sg: &S, tree: &DimTree<D>, v: usize) -> Option<S::Val> {
+    let i = v - tree.m as usize;
+    (i < tree.r as usize).then(|| sg.lift(tree.leaves[i].id, tree.leaves[i].weight))
+}
+
+/// Bottom-up `f` values of the internal nodes of the final-dimension
+/// trees one evaluation touches (Algorithm AssociativeFunction step 1),
+/// keyed by tree address; the cache must not outlive the tree borrow it
+/// serves. The sequential tree fills it per call; the distributed kernel
+/// fills it per batch from each forest entry's memo, which outlives the
+/// batch. Slot `v` of a tree's array holds `f(v)` for internal node
+/// `1 ≤ v < m`.
 pub struct AggCache<S: Semigroup> {
-    map: HashMap<usize, Vec<Option<S::Val>>>,
+    map: HashMap<usize, Arc<[Option<S::Val>]>>,
 }
 
 impl<S: Semigroup> AggCache<S> {
@@ -54,22 +85,21 @@ impl<S: Semigroup> AggCache<S> {
         AggCache { map: HashMap::new() }
     }
 
-    /// Bottom-up `f` values for every node of `tree` (computed once per
-    /// tree per batch).
+    /// Internal-node values of `tree`, computed on its first use through
+    /// this cache.
     pub fn values_for<const D: usize>(&mut self, sg: &S, tree: &DimTree<D>) -> &[Option<S::Val>] {
+        self.values_with(tree, || internal_folds(sg, tree))
+    }
+
+    /// Internal-node values of `tree`, taken from `fill` on its first use
+    /// through this cache.
+    pub(crate) fn values_with<const D: usize>(
+        &mut self,
+        tree: &DimTree<D>,
+        fill: impl FnOnce() -> Arc<[Option<S::Val>]>,
+    ) -> &[Option<S::Val>] {
         let key = tree as *const DimTree<D> as usize;
-        self.map.entry(key).or_insert_with(|| {
-            let m = tree.m as usize;
-            let mut vals: Vec<Option<S::Val>> = vec![None; 2 * m];
-            for i in 0..(tree.r as usize) {
-                let p = &tree.leaves[i];
-                vals[heap::leaf(m, i)] = Some(sg.lift(p.id, p.weight));
-            }
-            for v in (1..m).rev() {
-                vals[v] = comb_opt(sg, vals[2 * v].clone(), vals[2 * v + 1].clone());
-            }
-            vals
-        })
+        self.map.entry(key).or_insert_with(fill)
     }
 }
 
@@ -86,8 +116,20 @@ pub fn sel_fold<S: Semigroup, const D: usize>(
     sel: &Sel<'_, D>,
     cache: &mut AggCache<S>,
 ) -> Option<S::Val> {
-    match sel {
-        Sel::Node { tree, v } => cache.values_for(sg, tree)[*v].clone(),
+    sel_fold_with(sg, sel, cache, |tree| internal_folds(sg, tree))
+}
+
+/// [`sel_fold`] whose cache misses are served by `fill` instead of a
+/// fresh [`internal_folds`].
+pub(crate) fn sel_fold_with<S: Semigroup, const D: usize>(
+    sg: &S,
+    sel: &Sel<'_, D>,
+    cache: &mut AggCache<S>,
+    fill: impl FnOnce(&DimTree<D>) -> Arc<[Option<S::Val>]>,
+) -> Option<S::Val> {
+    match *sel {
+        Sel::Node { tree, v } if heap::is_leaf(tree.m as usize, v) => leaf_fold(sg, tree, v),
+        Sel::Node { tree, v } => cache.values_with(tree, || fill(tree))[v].clone(),
         Sel::Point { pt } => Some(sg.lift(pt.id, pt.weight)),
     }
 }

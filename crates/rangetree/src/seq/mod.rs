@@ -8,6 +8,7 @@
 mod eval;
 mod tree;
 
+pub(crate) use eval::{internal_folds, sel_fold_with};
 pub use eval::{sel_count, sel_fold, sel_points, sel_report, AggCache};
 pub use tree::{DimTree, Sel};
 
